@@ -75,9 +75,6 @@ _CONSTANT_KEYS = {
     "rho",
     "opt1_c",
     "q_cap",
-    "U",
-    "Z",
-    "brun_tolerance",
 }
 
 
@@ -146,15 +143,10 @@ class ExperimentConfig:
         }
 
     def increment_config(self) -> increment.IncrementConfig:
-        h = IntPoly.of(self.polynomial)
         if self.preset == "paper":
-            cfg = increment.IncrementConfig.paper(max(h.degree, 2))
-        else:
-            cfg = increment.IncrementConfig.desk()
-        for key in ("epsilon", "C1", "C2", "C3", "C4", "c_h", "C_h", "rho", "opt1_c", "q_cap"):
-            if key in self.constants:
-                setattr(cfg, key, self.constants[key])
-        return cfg
+            k = max(IntPoly.of(self.polynomial).degree, 2)
+            return increment.IncrementConfig.paper(k, **self.constants)
+        return increment.IncrementConfig.desk(**self.constants)
 
 
 class RunContext:
@@ -166,7 +158,6 @@ class RunContext:
         self.rng = np.random.default_rng(config.seed)
         self._norm: Optional[tuple[IntPoly, int]] = None
         self._builder: Optional[AuxiliaryBuilder] = None
-        self._weight: Optional[harmonic.SmoothWeight] = None
         self.side_files: list[tuple[str, str]] = []  # (filename, content)
 
     @property
@@ -180,11 +171,6 @@ class RunContext:
         if self._builder is None:
             self._builder = AuxiliaryBuilder(self.normalized)
         return self._builder
-
-    def weight(self, depth: int = 12, resolution: int = 2**12) -> harmonic.SmoothWeight:
-        if self._weight is None:
-            self._weight = harmonic.smooth_weight_build(depth, resolution)
-        return self._weight
 
     def make_set(self, spec: dict, X: int) -> search.AvoidingSet:
         kind = spec.get("kind", "greedy")
@@ -205,7 +191,7 @@ class RunContext:
 
 @dataclass
 class TaskDef:
-    params: dict  # name -> default (None means required)
+    params: dict  # name -> default (None means required); TASKS is the only place defaults live
     run: Callable[[RunContext, dict], dict]
 
 
@@ -223,22 +209,19 @@ def _fill(params: dict, schema: dict, task: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _task_f_eval(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"x": 0.0, "log_x": 0.0, "epsilon": 1.0}, "f_eval")
+def _task_f_eval(ctx: RunContext, p: dict) -> dict:
     log_x = float(p["log_x"]) if p["log_x"] else None
     x = float(p["x"])
     value = increment.F_eval(x, float(p["epsilon"]), log_x=log_x)
     return {"value": value, "d_exponent": increment.d_exponent(float(p["epsilon"]))}
 
 
-def _task_check(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"prime_bound": 1000, "depth_bound": 64}, "check")
+def _task_check(ctx: RunContext, p: dict) -> dict:
     verdict = intersectivity_verdict(ctx.h, int(p["prime_bound"]), int(p["depth_bound"]))
     return {"verdict": verdict.to_jsonable()}
 
 
-def _task_aux(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"ell_max": 30}, "aux")
+def _task_aux(ctx: RunContext, p: dict) -> dict:
     from .intersective import coefficient_bound
 
     rows = []
@@ -253,8 +236,7 @@ def _task_aux(ctx: RunContext, params: dict) -> dict:
     return {"count": len(rows), "coefficient_bound_ok": bound_ok, "contexts": rows}
 
 
-def _task_sieve(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"U": 10.0, "ell": 1}, "sieve")
+def _task_sieve(ctx: RunContext, p: dict) -> dict:
     table = sieve.SieveTable.build(ctx.builder.context(int(p["ell"])), float(p["U"]))
     J = sieve.J_factor(table)
     count = sieve.w_count_in_period(table) if table.period <= 10**6 else None
@@ -267,8 +249,7 @@ def _task_sieve(ctx: RunContext, params: dict) -> dict:
     }
 
 
-def _task_gauss(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"q_max": 100, "U": 100.0, "ell": 1, "all_a": False}, "gauss")
+def _task_gauss(ctx: RunContext, p: dict) -> dict:
     aux = ctx.builder.context(int(p["ell"]))
     table = sieve.SieveTable.build(aux, float(p["U"]))
     sweep = harmonic.gauss_sum_sweep(
@@ -286,12 +267,7 @@ def _task_gauss(ctx: RunContext, params: dict) -> dict:
     return {"rows": len(rows), "fitted_c_vs_q0.6": fitted}
 
 
-def _task_mass(ctx: RunContext, params: dict) -> dict:
-    p = _fill(
-        params,
-        {"set": {"kind": "multiples", "m": 3}, "x": 300, "xi": 0.0, "epsilon": 1.0, "C1": 10.0},
-        "mass",
-    )
+def _task_mass(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     A = ctx.make_set(p["set"], X)
     ap = harmonic.ArcParams.make(max(A.alpha, 1e-9), float(p["epsilon"]), float(p["C1"]), X)
@@ -299,20 +275,7 @@ def _task_mass(ctx: RunContext, params: dict) -> dict:
     return {"alpha": A.alpha, "mass": value, "alpha2X2": (A.alpha * X) ** 2}
 
 
-def _task_leveld(ctx: RunContext, params: dict) -> dict:
-    p = _fill(
-        params,
-        {
-            "alpha": 0.2,
-            "x": 600,
-            "d": 2,
-            "trials": 5,
-            "members": [3, 4, 5, 7, 11],
-            "variant": 0,
-            "epsilon": 1.0,
-        },
-        "leveld",
-    )
+def _task_leveld(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     alpha = float(p["alpha"])
     if int(p["variant"]) in (1, 2):
@@ -335,8 +298,7 @@ def _task_leveld(ctx: RunContext, params: dict) -> dict:
     return {"family_size": len(fam.members), "trials": verdicts}
 
 
-def _task_step(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"set": {"kind": "greedy"}, "x": 2000}, "step")
+def _task_step(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     A = ctx.make_set(p["set"], X)
     cfg = ctx.config.increment_config()
@@ -344,8 +306,7 @@ def _task_step(ctx: RunContext, params: dict) -> dict:
     return {"outcome": out.to_jsonable()}
 
 
-def _task_iterate(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"set": {"kind": "greedy"}, "x": 2000}, "iterate")
+def _task_iterate(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     A = ctx.make_set(p["set"], X)
     cfg = ctx.config.increment_config()
@@ -354,8 +315,7 @@ def _task_iterate(ctx: RunContext, params: dict) -> dict:
     return {"trace": trace.to_jsonable(), "invariants_ok": trace.check_invariants()}
 
 
-def _task_dmax(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"x_max": 60, "mode": "all", "U": 2.0}, "dmax")
+def _task_dmax(ctx: RunContext, p: dict) -> dict:
     xm = int(p["x_max"])
     forb = search.forbidden_values(
         ctx.builder.context(1), xm, str(p["mode"]), U=float(p["U"])
@@ -368,8 +328,7 @@ def _task_dmax(ctx: RunContext, params: dict) -> dict:
     return {"x_max": xm, "final_D": table[-1][1], "table": [(X, Dv) for X, Dv, _ in table]}
 
 
-def _task_greedy(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"x_values": [1000, 10000]}, "greedy")
+def _task_greedy(ctx: RunContext, p: dict) -> dict:
     xs = [int(x) for x in p["x_values"]]
     k = ctx.normalized.degree
     rows = []
@@ -394,8 +353,7 @@ def _task_greedy(ctx: RunContext, params: dict) -> dict:
     return {"rows": rows, "loglog_slope": slope}
 
 
-def _task_weight(ctx: RunContext, params: dict) -> dict:
-    p = _fill(params, {"depth": 24, "resolution": 2**16, "t_max": 400.0}, "weight")
+def _task_weight(ctx: RunContext, p: dict) -> dict:
     w = harmonic.smooth_weight_build(int(p["depth"]), int(p["resolution"]))
     audit = harmonic.weight_fourier_audit(w, float(p["t_max"]))
     ctx.side_files.append(
@@ -460,7 +418,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     for i, task in enumerate(config.tasks):
         name = task["name"]
         t0 = time.perf_counter()
-        result = TASKS[name].run(ctx, task["params"])
+        result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
         duration = (time.perf_counter() - t0) * 1000.0
         records.append(
             {"task": name, "params": task["params"], "result": result, "duration_ms": duration}
@@ -521,14 +479,11 @@ def emit_report(run_dir: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _default_config(poly: list[int], tasks: list[dict], seed: int, preset: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(
-        {"polynomial": poly, "tasks": tasks, "seed": seed, "preset": preset}
-    )
-
-
-def _parse_poly(text: str) -> list[int]:
-    return [int(c) for c in text.split(",")]
+def _flag_type(default: Any) -> Callable[[str], Any]:
+    """Parser for a flag with this default; a list takes a comma-separated string."""
+    if isinstance(default, list):
+        return lambda text: [type(default[0])(v) for v in text.split(",")]
+    return type(default)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -541,28 +496,30 @@ def main(argv: Optional[list[str]] = None) -> int:
     def common(p):
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default="runs/latest", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--preset", choices=["paper", "desk"], default="desk")
         p.add_argument("--poly", default="0,0,1", help="coefficients, constant first")
 
+    # task params exposed as flags; types and defaults come from TASKS
     specs = {
-        "check": [("--prime-bound", int, 1000)],
-        "aux": [("--ell-max", int, 30)],
-        "sieve": [("--U", float, 10.0), ("--ell", int, 1)],
-        "gauss": [("--q-max", int, 100), ("--U", float, 100.0)],
-        "mass": [("--x", int, 300), ("--xi", float, 0.0)],
-        "leveld": [("--x", int, 600), ("--alpha", float, 0.2), ("--d", int, 2), ("--trials", int, 5)],
-        "step": [("--x", int, 2000)],
-        "iterate": [("--x", int, 2000)],
-        "dmax": [("--x-max", int, 60)],
-        "greedy": [("--x-values", str, "1000,10000")],
-        "weight": [("--t-max", float, 400.0)],
+        "check": ("prime_bound",),
+        "aux": ("ell_max",),
+        "sieve": ("U", "ell"),
+        "gauss": ("q_max", "U"),
+        "mass": ("x", "xi"),
+        "leveld": ("x", "alpha", "d", "trials"),
+        "step": ("x",),
+        "iterate": ("x",),
+        "dmax": ("x_max",),
+        "greedy": ("x_values",),
+        "weight": ("t_max",),
     }
-    for name, args in specs.items():
+    for name, keys in specs.items():
         p = sub.add_parser(name)
         common(p)
-        for flag, typ, default in args:
-            p.add_argument(flag, type=typ, default=default)
+        for key in keys:
+            default = TASKS[name].params[key]
+            p.add_argument("--" + key.replace("_", "-"), type=_flag_type(default), default=default)
     p_run = sub.add_parser("run", help="run a full config file")
     common(p_run)
     p_rep = sub.add_parser("report", help="aggregate a run directory")
@@ -575,22 +532,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if ns.config:
         config = ExperimentConfig.load(ns.config)
-        if ns.seed:
-            config.seed = ns.seed
     elif ns.command == "run":
         parser.error("run requires --config")
-        return 2
     else:
-        params: dict[str, Any] = {}
-        for flag, _, _ in specs[ns.command]:
-            key = flag.lstrip("-").replace("-", "_")
-            val = getattr(ns, key)
-            if ns.command == "greedy" and key == "x_values":
-                val = [int(v) for v in val.split(",")]
-            params[key] = val
-        config = _default_config(
-            _parse_poly(ns.poly), [{"name": ns.command, "params": params}], ns.seed, ns.preset
+        params = {key: getattr(ns, key) for key in specs[ns.command]}
+        config = ExperimentConfig.from_dict(
+            {
+                "polynomial": ns.poly.split(","),
+                "tasks": [{"name": ns.command, "params": params}],
+                "preset": ns.preset,
+            }
         )
+    if ns.seed is not None:
+        config.seed = ns.seed
     summary = run_experiment(config, ns.out)
     print(json.dumps(summary, indent=2))
     return 1 if summary["failed_required"] else 0

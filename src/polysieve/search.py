@@ -3,11 +3,18 @@ bounds, and forbidden-difference generation from polynomial images.
 
 Sets live as bitmasks in Python integers (bit n set means n is a member),
 so pairwise-difference checks collapse to shifts and ANDs.
+
+dmax_table is the solver. The clique-cover branch and bound in
+exact_max_avoiding is kept on purpose as its independent cross-check: it
+shares no search code with the table, so the checks that compare the two
+(perfbench/make_reference.py, the benchmark's reference checks, and the
+acceptance tests) do not compare the solver with itself.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -15,7 +22,7 @@ import numpy as np
 
 from .intersective import AuxiliaryContext
 from .polycore import IntPoly
-from .sieve import SieveTable, w_mask
+from .sieve import SieveTable, in_W
 
 
 @dataclass(frozen=True)
@@ -108,32 +115,22 @@ def forbidden_values(
         raise ValueError("forbidden_values requires a polynomial increasing on the naturals")
     if mode not in ("all", "sieved"):
         raise ValueError(f"unknown mode {mode!r}")
-    mask = None
-    if mode == "sieved":
-        if table is None:
-            if U is None:
-                raise ValueError("mode 'sieved' needs U or a prebuilt table")
-            if not isinstance(aux, AuxiliaryContext):
-                raise ValueError("mode 'sieved' needs an AuxiliaryContext")
-            table = SieveTable.build(aux, U)
+    if mode == "sieved" and table is None:
+        if U is None:
+            raise ValueError("mode 'sieved' needs U or a prebuilt table")
+        if not isinstance(aux, AuxiliaryContext):
+            raise ValueError("mode 'sieved' needs an AuxiliaryContext")
+        table = SieveTable.build(aux, U)
     vals = []
     n = 1
     while True:
         v = poly(n)
         if v > X:
             break
-        if v >= 1 and (mode == "all" or _in_table(table, n)):
+        if v >= 1 and (mode == "all" or in_W(n, table)):
             vals.append(v)
         n += 1
     return sorted(set(vals))
-
-
-def _in_table(table: SieveTable, n: int) -> bool:
-    for p in table.entries:
-        datum = table.entries[p]
-        if n % datum.modulus in datum.roots:
-            return False
-    return True
 
 
 def _forbidden_mask(F: Sequence[int], X: int) -> int:
@@ -280,6 +277,10 @@ def exact_max_avoiding(
     return best_size, AvoidingSet(X, best_bits)
 
 
+_clock = time.monotonic
+_CLOCK_EVERY = 4096  # search nodes between clock readings under a deadline
+
+
 class TimeBudgetExceeded(RuntimeError):
     """Raised when a table computation overruns its wallclock budget."""
 
@@ -288,9 +289,13 @@ class TimeBudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _decide_anchor_py(X: int, target: int, D: list[int], fmask: int) -> Optional[int]:
-    """Pure-Python anchored decision: a size-target avoiding set inside
-    [1, X] containing X, or None. D[1..X-1] must be exact."""
+def _decide_anchor_py(
+    X: int, target: int, D: list[int], fmask: int, deadline: Optional[float] = None
+) -> Optional[int]:
+    """Anchored decision: a size-target avoiding set inside [1, X] containing
+    X, or None. D[1..X-1] must be exact. With a deadline the clock is read
+    every _CLOCK_EVERY nodes, and TimeBudgetExceeded is raised once it has
+    passed; without one the search does no per-node bookkeeping."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * X + 100))
     found: list[int] = []
 
@@ -302,85 +307,25 @@ def _decide_anchor_py(X: int, target: int, D: list[int], fmask: int) -> Optional
             n -= 1  # skip positions conflicting with chosen elements
         if n < need or D[n] < need:
             return False
-        if dfs(n - 1, need - 1, chosen | (1 << n)):
+        if step(n - 1, need - 1, chosen | (1 << n)):
             return True
-        return dfs(n - 1, need, chosen)
+        return step(n - 1, need, chosen)
 
-    if dfs(X - 1, target - 1, 1 << X):
+    if deadline is None:
+        step = dfs
+    else:
+        nodes = 0
+
+        def step(n: int, need: int, chosen: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes % _CLOCK_EVERY == 0 and _clock() > deadline:
+                raise TimeBudgetExceeded(None, f"dmax table stopped at X = {X - 1}")
+            return dfs(n, need, chosen)
+
+    if step(X - 1, target - 1, 1 << X):
         return found[0]
     return None
-
-
-_NUMBA_KERNEL = None
-
-
-def _get_numba_kernel():
-    """Compiled anchored-decision step; None when numba is unavailable."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-    try:
-        from numba import njit
-    except ImportError:
-        _NUMBA_KERNEL = False
-        return False
-
-    @njit(cache=True)
-    def decide(X, target, D, diffs, blocked, stack_m, witness):
-        for f in diffs:
-            if f < X:
-                blocked[X - f] += 1
-        found = False
-        sp = 0
-        m = X - 1
-        need = target - 1
-        alive = True
-        while alive and not found:
-            descending = True
-            while descending:
-                if need == 0:
-                    found = True
-                    break
-                while m >= 1 and blocked[m] > 0:
-                    m -= 1
-                if m < need or D[m] < need:
-                    descending = False
-                else:
-                    stack_m[sp] = m
-                    sp += 1
-                    for f in diffs:
-                        if f < m:
-                            blocked[m - f] += 1
-                    need -= 1
-                    m -= 1
-            if found:
-                break
-            alive = False
-            if sp > 0:
-                mi = stack_m[sp - 1]
-                sp -= 1
-                for f in diffs:
-                    if f < mi:
-                        blocked[mi - f] -= 1
-                need += 1
-                m = mi - 1
-                alive = True
-        witness_len = sp if found else 0
-        for i in range(witness_len):
-            witness[i] = stack_m[i]
-        while sp > 0:
-            mi = stack_m[sp - 1]
-            sp -= 1
-            for f in diffs:
-                if f < mi:
-                    blocked[mi - f] -= 1
-        for f in diffs:
-            if f < X:
-                blocked[X - f] -= 1
-        return found, witness_len
-
-    _NUMBA_KERNEL = decide
-    return decide
 
 
 def dmax_table(
@@ -393,47 +338,30 @@ def dmax_table(
 
     Exploits D(F, X+1) in {D(F, X), D(F, X)+1}: any witness of the larger
     value inside [1, X] must contain X, so each step is one anchored decision
-    search pruned by the already-known smaller entries. A compiled kernel is
-    used when numba is importable. Refutation steps still grow exponentially
-    on long plateaus; time_budget (seconds) aborts with the partial table
+    search pruned by the already-known smaller entries (Russian-doll search).
+    Refutation steps still grow exponentially on long plateaus; time_budget
+    (seconds) aborts, between or inside steps, with the finished rows
     attached to the exception.
     """
     if X_max > cap:
         raise ValueError(f"X_max = {X_max} exceeds the cap {cap}")
-    import time as _time
-
-    t0 = _time.monotonic()
+    deadline = None if time_budget is None else _clock() + time_budget
     fmask = _forbidden_mask(F, X_max)  # differences beyond X_max-1 never matter
-    kernel = _get_numba_kernel() if X_max > 64 else False
-    if kernel:
-        diffs = np.array(sorted({f for f in F if 1 <= f <= X_max - 1}), dtype=np.int64)
-        d_arr = np.zeros(X_max + 1, dtype=np.int64)
-        blocked = np.zeros(X_max + 2, dtype=np.int64)
-        stack = np.zeros(X_max + 2, dtype=np.int64)
-        wit_buf = np.zeros(X_max + 2, dtype=np.int64)
     D = [0]
-    witnesses = [AvoidingSet.empty(0)]
     out: list[tuple[int, int, AvoidingSet]] = []
     for X in range(1, X_max + 1):
-        if time_budget is not None and _time.monotonic() - t0 > time_budget:
+        if deadline is not None and _clock() > deadline:
             raise TimeBudgetExceeded(out, f"dmax table stopped at X = {X - 1}")
         target = D[X - 1] + 1
-        bits: Optional[int] = None
-        if kernel:
-            found, wlen = kernel(X, target, d_arr, diffs, blocked, stack, wit_buf)
-            if found:
-                bits = 1 << X
-                for i in range(wlen):
-                    bits |= 1 << int(wit_buf[i])
-        else:
-            bits = _decide_anchor_py(X, target, D, fmask)
-        if bits is not None:
-            D.append(target)
-            witnesses.append(AvoidingSet(X, bits))
-        else:
+        try:
+            bits = _decide_anchor_py(X, target, D, fmask, deadline)
+        except TimeBudgetExceeded as exc:
+            exc.partial = out
+            raise
+        if bits is None:
             D.append(D[X - 1])
-            witnesses.append(AvoidingSet(X, witnesses[X - 1].bits))
-        if kernel:
-            d_arr[X] = D[X]
-        out.append((X, D[X], witnesses[X]))
+            bits = out[-1][2].bits  # X = 1 always succeeds, so out is nonempty
+        else:
+            D.append(target)
+        out.append((X, D[X], AvoidingSet(X, bits)))
     return out

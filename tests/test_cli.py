@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from polysieve.cli import (
+    TASKS,
     ConfigError,
     ExperimentConfig,
     emit_report,
@@ -30,8 +31,9 @@ def test_config_strictness():
         ExperimentConfig.from_dict(
             {**MINIMAL, "tasks": [{"name": "f_eval", "params": {"wat": 1}}]}
         )
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({**MINIMAL, "constants": {"zeta": 2}})
+    for key in ("zeta", "U", "Z", "brun_tolerance"):  # keys no code reads
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**MINIMAL, "constants": {key: 2}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"polynomial": [0, 1]})
 
@@ -109,13 +111,32 @@ def test_cli_subcommands_smoke(tmp_path):
     assert main(["dmax", "--x-max", "30", "--out", str(tmp_path / "d")]) == 0
     assert (tmp_path / "d" / "dmax.csv").exists()
     assert main(["report", "--out", str(tmp_path / "d")]) == 0
+    assert main(["greedy", "--x-values", "500,1000", "--out", str(tmp_path / "g")]) == 0
+    assert _task_record(tmp_path / "g")["params"] == {"x_values": [500, 1000]}
+    assert main(["gauss", "--q-max", "20", "--out", str(tmp_path / "q")]) == 0
+    assert _task_record(tmp_path / "q")["params"] == {"q_max": 20, "U": 100.0}
+    # without flags, a subcommand records the TASKS defaults of its flags
+    for name in ("aux", "mass", "greedy"):
+        assert main([name, "--out", str(tmp_path / name)]) == 0
+        params = _task_record(tmp_path / name)["params"]
+        assert params and params == {k: TASKS[name].params[k] for k in params}
+
+
+def _task_record(run_dir):
+    return json.loads((run_dir / "records.jsonl").read_text().splitlines()[1])
 
 
 def test_cli_run_with_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MINIMAL))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
-    assert (tmp_path / "r" / "records.jsonl").exists()
+    for seed, expected in ((None, 7), ("0", 0), ("5", 5)):
+        out = tmp_path / f"r{seed}"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert main(argv) == 0
+        echo = json.loads((out / "records.jsonl").read_text().splitlines()[0])
+        assert echo["config"]["seed"] == expected
 
 
 def test_json_canonicalization():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import squares_upto
+from polysieve import search
 from polysieve.intersective import AuxiliaryBuilder
 from polysieve.polycore import IntPoly
 from polysieve.search import (
     AvoidingSet,
+    TimeBudgetExceeded,
     dmax_table,
     exact_max_avoiding,
     exhaustive_max_table,
@@ -90,6 +93,26 @@ def test_dmax_monotone_unit_steps():
     table = dmax_table(SQ, 120)
     ds = [d for _, d, _ in table]
     assert all(ds[i] <= ds[i + 1] <= ds[i] + 1 for i in range(len(ds) - 1))
+
+
+def test_time_budget_stops_inside_a_step(monkeypatch):
+    def no_clock():
+        raise AssertionError("clock read without a time budget")
+
+    X_max = 60
+    monkeypatch.setattr(search, "_clock", no_clock)
+    full = [d for _, d, _ in dmax_table(SQ, X_max)]
+    # A clock that advances one second per reading. The readings taken
+    # between steps alone stay inside the budget, so the table can only stop
+    # early if the anchored search itself reads the clock.
+    readings = itertools.count()
+    monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
+    with pytest.raises(TimeBudgetExceeded) as exc:
+        dmax_table(SQ, X_max, time_budget=X_max + 0.5)
+    partial = exc.value.partial
+    assert len(partial) < X_max
+    assert [d for _, d, _ in partial] == full[: len(partial)]
+    assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
 
 
 def test_greedy_always_verifies():
