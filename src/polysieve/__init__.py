@@ -2,7 +2,7 @@
 towers, sieve local data, circle-method audits, level-d energy checks,
 density increments, and exact extremal-set solvers."""
 
-from .polycore import IntPoly, normalize_positive, poly_compose_affine, poly_derivative, poly_eval
+from .polycore import IntPoly, normalize_positive, poly_eval
 from .intersective import (
     AuxiliaryBuilder,
     AuxiliaryContext,
@@ -10,13 +10,12 @@ from .intersective import (
     EmpiricalUpTo,
     LocalRootData,
     NotIntersective,
-    auxiliary_poly,
     coefficient_bound,
     inheritance_check,
     intersectivity_verdict,
     padic_roots,
 )
-from .sieve import SieveTable, J_factor, brun_sum_audit, in_W, local_data
+from .sieve import SieveTable, J_factor, brun_sum_audit, in_W
 from .search import (
     AvoidingSet,
     dmax_table,

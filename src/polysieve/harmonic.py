@@ -18,7 +18,7 @@ import numpy as np
 from .intersective import AuxiliaryContext
 from .polycore import IntPoly
 from .search import AvoidingSet
-from .sieve import SieveTable, J_factor, J_factor_float, w_mask
+from .sieve import SieveTable, J_factor_float, in_W, w_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,11 +67,7 @@ class SmoothWeight:
             block = ts[i : i + 64]
             phases = np.exp(-2j * np.pi * np.outer(block, xs))
             out[i : i + 64] = phases @ self.grid * delta
-        arg = np.pi * ts * delta
-        fejer = np.ones_like(ts)
-        nz = arg != 0
-        fejer[nz] = (np.sin(arg[nz]) / arg[nz]) ** 2
-        return out * fejer
+        return out * _fejer(np.pi * ts * delta)
 
     def decay_audit_limit(self) -> float:
         """Largest |t| where the grid can still resolve the decay envelope.
@@ -83,6 +79,14 @@ class SmoothWeight:
         curvature = 60.0  # crude bound for the box-convolution second derivative
         floor = h2 * curvature / 8.0
         return 2.0 * math.log(1.0 / floor) ** 2
+
+
+def _fejer(arg: np.ndarray) -> np.ndarray:
+    """(sin arg / arg)^2, with 1 at arg == 0."""
+    out = np.ones_like(arg)
+    nz = arg != 0
+    out[nz] = (np.sin(arg[nz]) / arg[nz]) ** 2
+    return out
 
 
 def smooth_weight_build(depth: int, resolution: int) -> SmoothWeight:
@@ -152,11 +156,7 @@ def weight_fourier_audit(
     padded[: len(w.grid)] = w.grid
     spec = np.fft.rfft(padded)[: m_max + 1] / w.resolution
     ts = np.arange(m_max + 1) / samples_per_unit
-    arg_f = np.pi * ts / w.resolution
-    fejer = np.ones_like(ts)
-    nz = arg_f != 0
-    fejer[nz] = (np.sin(arg_f[nz]) / arg_f[nz]) ** 2
-    mags = np.abs(spec) * fejer
+    mags = np.abs(spec) * _fejer(np.pi * ts / w.resolution)
     env = np.exp(-np.sqrt(ts / 2.0))
     ratios = mags / env
     fitted = float(ratios.max())
@@ -301,25 +301,20 @@ def fourier_point(source: Source, theta) -> complex:
     return complex(np.cos(ang) @ weights + 1j * (np.sin(ang) @ weights))
 
 
+def _fold_fft(positions: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
+    """f^(a/q) for a = 0..q-1, for f = weights at positions: sum the weights
+    into their residues mod q, then take one FFT. Real weights fold in a real
+    float64 array, so a large grid gets no complex copy; the FFT of a real
+    array equals that of its complex copy bit for bit."""
+    c = np.zeros(q, dtype=np.promote_types(weights.dtype, np.float64))
+    np.add.at(c, positions % q, weights)
+    return np.fft.fft(c)
+
+
 @dataclass
 class Spectrum:
     n: int
     values: np.ndarray  # f^(j/N) for j = 0..N-1
-    source: str
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def to_csv_rows(self):
-        for j, z in enumerate(self.values):
-            yield j, z.real, z.imag, abs(z)
-
-    def to_csv(self) -> str:
-        lines = ["j,re,im,magnitude"]
-        lines += [
-            f"{j},{re:.17g},{im:.17g},{mag:.17g}" for j, re, im, mag in self.to_csv_rows()
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def fourier_grid(source: Source, N: int) -> Spectrum:
@@ -328,9 +323,7 @@ def fourier_grid(source: Source, N: int) -> Spectrum:
     maxmag = int(np.abs(vals).max(initial=0))
     if N < 2 * maxmag + 1:
         raise ValueError(f"grid size {N} too small for support magnitude {maxmag}")
-    folded = np.zeros(N, dtype=float)
-    np.add.at(folded, np.mod(vals, N), weights)
-    return Spectrum(N, np.fft.fft(folded), source=type(source).__name__)
+    return Spectrum(N, _fold_fft(vals, weights, N))
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +345,10 @@ def gauss_sum_sieved(
         raise ValueError("need gcd(a, q) = 1")
     if table is None:
         table = SieveTable.build(aux, U)
-    conds = [
-        (d.modulus, set(d.roots))
-        for d in (table.entries[p] for p in sorted(table.entries))
-        if q % d.modulus == 0
-    ]
     poly = aux.aux
     total = 0j
     for s in range(q):
-        if any(s % m in roots for m, roots in conds):
+        if not in_W(s, table, q):
             continue
         t = poly.eval_mod(s, q) * (a % q) % q
         total += complex(math.cos(TWO_PI * t / q), math.sin(TWO_PI * t / q))
@@ -378,15 +366,12 @@ def gauss_sum_sweep(
     gauss_sum_sieved at every point."""
     if table is None:
         table = SieveTable.build(aux, U)
-    conds = [(d.modulus, np.array(d.roots)) for p, d in sorted(table.entries.items())]
     coeffs = aux.aux.coeffs
     out = []
     for q in range(1, q_max + 1):
         s = np.arange(q, dtype=np.int64)
-        keep = np.ones(q, dtype=bool)
-        for m, roots in conds:
-            if q % m == 0 and roots.size:
-                keep &= ~np.isin(s % m, roots)
+        # w_mask indexes 1..q; rolling moves residue 0 from index q to the front
+        keep = np.roll(w_mask(table, q, q)[1:], 1)
         hmod = np.zeros(q, dtype=np.int64)
         for c in reversed(coeffs):
             hmod = (hmod * s + c) % q
@@ -423,15 +408,6 @@ class WeylReport:
     @property
     def max_fitted_c(self) -> float:
         return max(s.fitted_c for s in self.samples) if self.samples else 0.0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "N": self.N,
-            "U": self.U,
-            "Z": self.Z,
-            "max_fitted_c": self.max_fitted_c,
-            "samples": [vars(s) for s in self.samples],
-        }
 
 
 def weyl_sum_audit(
@@ -625,10 +601,6 @@ class MajorArcReport:
     hypotheses_ok: bool
     hypothesis_notes: list[str]
 
-    def to_jsonable(self) -> dict:
-        d = dict(vars(self))
-        return d
-
 
 def major_arc_predict(
     image: WeightedImage, a: int, q: int, theta: float, w: SmoothWeight
@@ -723,7 +695,7 @@ def minor_arc_audit(
     maxv = int(image.values.max(initial=0))
     N = 1 << max(4, (2 * maxv + 1).bit_length())
     spec = fourier_grid(image, N)
-    mags = spec.magnitude()
+    mags = np.abs(spec.values)
     order = np.argsort(mags)[::-1]
     sup = 0.0
     arg: Optional[float] = None
@@ -790,10 +762,7 @@ def initial_mass(A: AvoidingSet, xi: float, params: ArcParams) -> float:
     total = 0.0
     qmax = int(params.Qmax)
     for q in range(2, qmax + 1):
-        res = np.mod(ns, q)
-        cvec = np.zeros(q, dtype=complex)
-        np.add.at(cvec, res, shift)
-        hat = np.fft.fft(cvec)  # index a gives sum e(-n a / q) e(-n xi)
+        hat = _fold_fft(ns, shift, q)  # index a gives sum e(-n a / q) e(-n xi)
         amask = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
         if amask.size == 0:
             continue

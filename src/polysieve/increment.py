@@ -10,11 +10,12 @@ relabel the problem through the auxiliary polynomial at q * ell and rescale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from .harmonic import _fold_fft
 from .intersective import AuxiliaryBuilder, AuxiliaryContext
 from .polycore import IntPoly
 from .search import AvoidingSet, image_values, verify_avoiding
@@ -63,19 +64,13 @@ class IncrementConfig:
         """Constants tuned so the iteration is observable at small X: the
         option-1 threshold exp(-c F(X)) is meaningless with the documented
         c_h = 0.01 since F(X) < 1 for desk X; opt1_c = 4 makes it bite only
-        for genuinely sparse sets."""
-        cfg = cls(opt1_c=4.0)
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-        return cfg
+        for genuinely sparse sets. An unknown override raises TypeError."""
+        return replace(cls(opt1_c=4.0), **overrides)
 
     @classmethod
     def paper(cls, k: int, **overrides) -> "IncrementConfig":
         """The documented defaults with the rho = 2^(-10k) choice."""
-        cfg = cls(rho=2.0 ** (-10 * k))
-        for k_, v in overrides.items():
-            setattr(cfg, k_, v)
-        return cfg
+        return replace(cls(rho=2.0 ** (-10 * k)), **overrides)
 
     def opt1_threshold(self, X: int) -> float:
         c = self.c_h if self.opt1_c is None else self.opt1_c
@@ -197,9 +192,7 @@ def _mass_scan(A: AvoidingSet, cfg: IncrementConfig, tau: float) -> list[tuple]:
         phase = np.exp(-2j * np.pi * np.mod(ns * xi, 1.0))
         v = weights * phase
         for q in range(2, cfg.q_cap + 1):
-            c = np.zeros(q, dtype=complex)
-            np.add.at(c, ns % q, v)
-            mass = float(np.sum(np.abs(np.fft.fft(c)) ** 2))
+            mass = float(np.sum(np.abs(_fold_fft(ns, v, q)) ** 2))
             snr = mass / (q * noise) if noise > 0 else mass
             scored.append((-snr, q, xi_idx, float(xi), mass / denom))
     scored.sort()

@@ -439,13 +439,11 @@ class AuxiliaryBuilder:
         self,
         h: IntPoly,
         overrides: Optional[Mapping[int, int]] = None,
-        depth_bound: int = 64,
     ):
         if h.degree < 1:
             raise ValueError("nonconstant polynomial required")
         self.h = h
         self.overrides = dict(overrides or {})
-        self.depth_bound = depth_bound
         self._roots: dict[int, list[LocalRootData]] = {}
         self._prec: dict[int, int] = {}
         self._ctx: dict[int, AuxiliaryContext] = {}
@@ -521,20 +519,6 @@ class AuxiliaryBuilder:
         ctx = AuxiliaryContext(self.h, ell, r, lam, aux, roots, self)
         self._ctx[ell] = ctx
         return ctx
-
-
-def root_residue(builder: AuxiliaryBuilder, ell: int) -> int:
-    return builder.r_ell(ell)
-
-
-def lambda_of(builder: AuxiliaryBuilder, ell: int) -> int:
-    return builder.lambda_of(ell)
-
-
-def auxiliary_poly(
-    h: IntPoly, ell: int, overrides: Optional[Mapping[int, int]] = None
-) -> AuxiliaryContext:
-    return AuxiliaryBuilder(h, overrides=overrides).context(ell)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .harmonic import _fold_fft
 from .nt import factorize, primes_upto
 
 
@@ -198,20 +199,6 @@ class LevelDReport:
     def dichotomy_ok(self) -> bool:
         return self.branch1_ok or self.branch2_found
 
-    def to_jsonable(self) -> dict:
-        return {k: v for k, v in vars(self).items()} | {
-            "dichotomy_ok": self.dichotomy_ok
-        }
-
-
-def _f_hat_on_fractions(f: np.ndarray, R: int) -> np.ndarray:
-    """f^(a/R) for a = 0..R-1, f supported on 1..X (f[0] is position 1)."""
-    X = len(f)
-    c = np.zeros(R, dtype=complex)
-    positions = np.arange(1, X + 1) % R
-    np.add.at(c, positions, f.astype(complex))
-    return np.fft.fft(c)
-
 
 def level_d_energy(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
     """Left side of the level-d inequality: sum over |S| = d and residues a
@@ -221,12 +208,13 @@ def level_d_energy(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
         raise ValueError("d out of range")
     if math.comb(n_members, d) > 200000:
         raise ValueError("family too large to enumerate level-d subsets")
+    positions = np.arange(1, len(f) + 1)  # f[0] sits at position 1
     total = 0.0
     for combo in combinations(range(n_members), d):
         R = math.prod(Q.members[i] for i in combo)
         if R > 10**7:
             raise ValueError("subset modulus too large to enumerate residues")
-        hat = _f_hat_on_fractions(f, R)
+        hat = _fold_fft(positions, f, R)
         keep = np.ones(R, dtype=bool)
         for i in combo:
             keep[:: Q.members[i]] = False  # multiples of the member, incl. 0

@@ -89,14 +89,6 @@ class IntPoly:
             out.append(q)
         return IntPoly(tuple(out))
 
-    def mul(self, other: "IntPoly") -> "IntPoly":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
-
     def content(self) -> int:
         return gcd_many(self.coeffs)
 
@@ -144,14 +136,6 @@ class IntPoly:
 
 def poly_eval(h: IntPoly, n: int) -> int:
     return h(n)
-
-
-def poly_derivative(h: IntPoly) -> IntPoly:
-    return h.derivative()
-
-
-def poly_compose_affine(h: IntPoly, r: int, ell: int) -> IntPoly:
-    return h.compose_affine(r, ell)
 
 
 def normalize_positive(h: IntPoly) -> tuple[IntPoly, int]:

@@ -79,11 +79,6 @@ def local_datum(aux: IntPoly, p: int) -> LocalSieveDatum:
     return LocalSieveDatum(p, gamma, len(roots), roots)
 
 
-def local_data(aux: AuxiliaryContext, p: int) -> tuple[int, int]:
-    datum = local_datum(aux.aux, p)
-    return datum.gamma, datum.j
-
-
 def _applicable(table: SieveTable, q: Optional[int]):
     for p in sorted(table.entries):
         datum = table.entries[p]
@@ -185,13 +180,11 @@ def brun_sum_audit(table: SieveTable, q: int, b: int, t: int) -> BrunReport:
     sel = mask & (idx % q == b % q)
     empirical = sum(d(int(n)) for n in np.nonzero(sel)[0])
 
-    paper = Fraction(aux(t), q)
+    paper = Fraction(aux(t), q) / J_factor(table, q)
     refined = Fraction(aux(t), q)
     blocked = None
     for p in sorted(table.entries):
         datum = table.entries[p]
-        if q % datum.modulus != 0:
-            paper *= Fraction(datum.modulus - datum.j, datum.modulus)
         factor = _refined_local_factor(datum, q, b)
         refined *= factor
         if factor == 0 and blocked is None:

@@ -3,7 +3,7 @@ line. Tolerances are pinned here, not configurable.
 
 Criteria 10 (the X <= 200 table inside 120 s) and 11 (greedy slope near 1/2)
 are implemented exactly as stated and are expected to fail on this hardware
-and with this greedy construction respectively; see the decisions ledger for
+and with this greedy construction respectively; README.md and ROADMAP.md give
 the measurements behind that assessment.
 """
 
@@ -282,9 +282,8 @@ def test_criterion_10_exact_search_oracle():
     except TimeBudgetExceeded as exc:
         elapsed = time.monotonic() - t0
         detail = (
-            f"table reached X = {len(exc.partial)} within the 120s budget; "
-            "the refutation steps past X = 185 need > 10^10 search nodes "
-            "(see decisions ledger)"
+            f"table reached X = {len(exc.partial)} in {elapsed:.1f}s, "
+            "stopped by the 120s budget (see ROADMAP.md)"
         )
     ok = oracle_ok and points_ok and table_ok
     assert _report(10, ok, f"oracle: {oracle_ok}, points: {points_ok}; {detail}")
@@ -303,7 +302,7 @@ def test_criterion_11_greedy_scaling():
         ok,
         f"sizes {sizes}, log-log slope {slope:.3f} "
         "(the left-to-right greedy set provably exceeds its X^(1/2) guarantee; "
-        "see decisions ledger)",
+        "see README.md)",
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +169,31 @@ def test_bundled_default_config_parses():
     cfg = ExperimentConfig.load(path)
     assert cfg.polynomial == [0, 0, 1]
     assert cfg.tasks
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, expected",
+    [
+        ("gauss_cancellation.py", ["30"], "q,a,magnitude,sqrt_q,ratio_to_q06\n"),
+        ("extremal_table.py", ["40", "30"], "X,D,witness\n"),
+        ("run_default.py", [None], "wrote 12 records to"),
+    ],
+    ids=["gauss_cancellation", "extremal_table", "run_default"],
+)
+def test_scripts_run(tmp_path, script, args, expected):
+    """Each script runs as users run it and prints its header or summary."""
+    args = [str(tmp_path / "run") if a is None else a for a in args]
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

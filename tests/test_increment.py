@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import squares_upto
+from polysieve.harmonic import fourier_point
 from polysieve.increment import (
     F_eval,
     IncrementConfig,
+    _mass_scan,
     d_exponent,
     extract_increment,
     increment_step,
@@ -100,6 +103,28 @@ def test_increment_step_guards():
         increment_step(AvoidingSet.empty(100), ctx)
     with pytest.raises(ValueError):
         increment_step(AvoidingSet.full(8), ctx, IncrementConfig(X_min=16))
+    # an unknown constant must not slip into the config (and its echo)
+    with pytest.raises(TypeError):
+        IncrementConfig.desk(foo=1)
+    with pytest.raises(TypeError):
+        IncrementConfig.paper(2, foo=1)
+    assert IncrementConfig.desk(q_cap=9).q_cap == 9
+    assert IncrementConfig.paper(2, C1=3.0).C1 == 3.0
+
+
+def test_mass_scan_matches_pointwise_fourier():
+    # eta * alpha^2 X^2 is the balanced mass sum_{a mod q} |f^(a/q + xi)|^2
+    X = 60
+    A = AvoidingSet.from_members(X, [n for n in range(1, X + 1) if n % 3 == 1 or n % 7 == 0])
+    ns = np.arange(1, X + 1)
+    w = np.where(np.isin(ns, A.member_array()), 1.0 - A.alpha, -A.alpha)
+    cfg = IncrementConfig(q_cap=12, xi_points=5)
+    ranked = _mass_scan(A, cfg, 0.01)
+    assert len(ranked) == (cfg.q_cap - 1) * cfg.xi_points
+    assert ranked[0][0] == 3  # the planted residue class wins
+    for q, xi, eta in ranked[:3] + ranked[len(ranked) // 2 :: 11]:
+        direct = sum(abs(fourier_point((ns, w), a / q + xi)) ** 2 for a in range(q))
+        assert eta * (A.alpha * X) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
 def test_increment_step_opt1_fires_for_sparse():

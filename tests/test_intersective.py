@@ -10,7 +10,6 @@ from polysieve.intersective import (
     EmpiricalUpTo,
     MissingRootError,
     NotIntersective,
-    auxiliary_poly,
     coefficient_bound,
     inheritance_check,
     intersectivity_verdict,
@@ -93,7 +92,7 @@ def test_lambda_examples():
 
 
 def test_auxiliary_poly_examples():
-    assert auxiliary_poly(IntPoly((0, 0, 1)), 5).aux.coeffs == (0, 0, 1)
+    assert AuxiliaryBuilder(IntPoly((0, 0, 1))).context(5).aux.coeffs == (0, 0, 1)
     b = AuxiliaryBuilder(IntPoly((-1, 0, 1)))
     assert b.context(2).aux.coeffs == (0, -2, 2)
     assert b.context(3).aux.coeffs == (1, -4, 3)

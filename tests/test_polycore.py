@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from polysieve.polycore import (
     IntPoly,
     normalize_positive,
-    poly_compose_affine,
-    poly_derivative,
     poly_eval,
 )
 
@@ -20,15 +18,15 @@ def test_eval_examples():
 
 
 def test_derivative_examples():
-    assert poly_derivative(IntPoly((0, 0, 1))).coeffs == (0, 2)
-    assert poly_derivative(IntPoly((7,))).coeffs == (0,)
-    assert poly_derivative(IntPoly((1, -4, 3))).coeffs == (-4, 6)
+    assert IntPoly((0, 0, 1)).derivative().coeffs == (0, 2)
+    assert IntPoly((7,)).derivative().coeffs == (0,)
+    assert IntPoly((1, -4, 3)).derivative().coeffs == (-4, 6)
 
 
 def test_compose_affine_examples():
-    assert poly_compose_affine(IntPoly((0, 0, 1)), -1, 2).coeffs == (1, -4, 4)
-    assert poly_compose_affine(IntPoly((0, 0, 1)), 0, 1).coeffs == (0, 0, 1)
-    assert poly_compose_affine(IntPoly((-1, 0, 1)), -2, 3).coeffs == (3, -12, 9)
+    assert IntPoly((0, 0, 1)).compose_affine(-1, 2).coeffs == (1, -4, 4)
+    assert IntPoly((0, 0, 1)).compose_affine(0, 1).coeffs == (0, 0, 1)
+    assert IntPoly((-1, 0, 1)).compose_affine(-2, 3).coeffs == (3, -12, 9)
 
 
 def test_compose_affine_requires_positive_step():
@@ -78,16 +76,16 @@ def test_normalize_positive_minimality(fixtures):
 @settings(max_examples=150, deadline=None)
 def test_compose_affine_matches_eval(coeffs, r, ell, n):
     h = IntPoly.of(coeffs)
-    assert poly_eval(poly_compose_affine(h, r, ell), n) == poly_eval(h, r + ell * n)
+    assert poly_eval(h.compose_affine(r, ell), n) == poly_eval(h, r + ell * n)
 
 
 @given(small_coeffs, st.integers(-20, 20), st.integers(1, 10))
 @settings(max_examples=100, deadline=None)
 def test_derivative_of_composition(coeffs, r, ell):
     h = IntPoly.of(coeffs)
-    lhs = poly_compose_affine(h, r, ell).derivative()
+    lhs = h.compose_affine(r, ell).derivative()
     rhs = IntPoly.of(
-        [ell * c for c in poly_compose_affine(h.derivative(), r, ell).coeffs]
+        [ell * c for c in h.derivative().compose_affine(r, ell).coeffs]
     )
     assert lhs.coeffs == rhs.coeffs
 

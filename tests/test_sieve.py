@@ -11,7 +11,6 @@ from polysieve.sieve import (
     SieveTable,
     brun_sum_audit,
     in_W,
-    local_data,
     local_datum,
     w_count_in_period,
     w_mask,
@@ -23,12 +22,17 @@ def x2ctx():
     return AuxiliaryBuilder(IntPoly((0, 0, 1))).context(1)
 
 
+def _gamma_j(ctx, p):
+    datum = local_datum(ctx.aux, p)
+    return datum.gamma, datum.j
+
+
 def test_local_data_examples(x2ctx):
-    assert local_data(x2ctx, 2) == (2, 2)
-    assert local_data(x2ctx, 7) == (1, 1)
+    assert _gamma_j(x2ctx, 2) == (2, 2)
+    assert _gamma_j(x2ctx, 7) == (1, 1)
     aux3 = AuxiliaryBuilder(IntPoly((-1, 0, 1))).context(3)
     assert aux3.aux.coeffs == (1, -4, 3)
-    assert local_data(aux3, 3) == (1, 0)
+    assert _gamma_j(aux3, 3) == (1, 0)
 
 
 def test_local_data_by_value_scan(normalized_fixtures):
