@@ -2,8 +2,9 @@
 JSON-lines records, CSV side files, and report aggregation.
 
 Every task appends one record {task, params, result, duration_ms}; result
-fields are deterministic given (config, seed). Floats serialize with 17
-significant digits, integers beyond 2^53 as decimal strings.
+fields are deterministic given (config, seed). Floats serialize as the
+shortest decimal that reads back to the same float, integers beyond 2^53 as
+decimal strings.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ BIG_INT = 1 << 53
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Canonical JSON form: floats at 17 significant digits, big ints as
-    strings, mappings sorted by key."""
+    """Canonical JSON form: floats stay floats (json writes the shortest
+    round-trip repr, so 20.0 keeps its .0), big ints as strings, mappings
+    sorted by key."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -42,9 +44,7 @@ def to_jsonable(obj: Any) -> Any:
         return str(v) if abs(v) > BIG_INT else v
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isfinite(f):
-            return json.loads(format(f, ".17g"))
-        return repr(f)
+        return f if math.isfinite(f) else repr(f)
     if isinstance(obj, complex):
         return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
     if isinstance(obj, dict):

@@ -10,6 +10,7 @@ from polysieve.cli import (
     TASKS,
     ConfigError,
     ExperimentConfig,
+    dumps_record,
     emit_report,
     main,
     run_experiment,
@@ -148,6 +149,10 @@ def test_json_canonicalization():
     assert to_jsonable(0.1) == 0.1
     assert to_jsonable({"b": 1, "a": 2}) == {"a": 2, "b": 1}
     assert to_jsonable((1, 2.5, "x")) == [1, 2.5, "x"]
+    # an integral float stays a float, also above 2^53
+    for value, text in ((20.0, "20.0"), (1e16, "1e+16")):
+        assert isinstance(to_jsonable(value), float)
+        assert dumps_record({"v": value}) == f'{{"v":{text}}}'
 
 
 def test_big_integers_as_strings(tmp_path):
