@@ -22,17 +22,12 @@ def x2ctx():
     return AuxiliaryBuilder(IntPoly((0, 0, 1))).context(1)
 
 
-def _gamma_j(ctx, p):
-    datum = local_datum(ctx.aux, p)
-    return datum.gamma, datum.j
-
-
 def test_local_data_examples(x2ctx):
-    assert _gamma_j(x2ctx, 2) == (2, 2)
-    assert _gamma_j(x2ctx, 7) == (1, 1)
     aux3 = AuxiliaryBuilder(IntPoly((-1, 0, 1))).context(3)
     assert aux3.aux.coeffs == (1, -4, 3)
-    assert _gamma_j(aux3, 3) == (1, 0)
+    for ctx, p, gamma_j in ((x2ctx, 2, (2, 2)), (x2ctx, 7, (1, 1)), (aux3, 3, (1, 0))):
+        datum = local_datum(ctx.aux, p)
+        assert (datum.gamma, datum.j) == gamma_j
 
 
 def test_local_data_by_value_scan(normalized_fixtures):
