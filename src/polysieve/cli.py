@@ -217,7 +217,7 @@ def _task_f_eval(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_check(ctx: RunContext, p: dict) -> dict:
-    verdict = intersectivity_verdict(ctx.h, int(p["prime_bound"]), int(p["depth_bound"]))
+    verdict = intersectivity_verdict(ctx.h, int(p["prime_bound"]))
     return {"verdict": verdict.to_jsonable()}
 
 
@@ -373,7 +373,7 @@ def _task_weight(ctx: RunContext, p: dict) -> dict:
 
 TASKS: dict[str, TaskDef] = {
     "f_eval": TaskDef({"x": 0.0, "log_x": 0.0, "epsilon": 1.0}, _task_f_eval),
-    "check": TaskDef({"prime_bound": 1000, "depth_bound": 64}, _task_check),
+    "check": TaskDef({"prime_bound": 1000}, _task_check),
     "aux": TaskDef({"ell_max": 30}, _task_aux),
     "sieve": TaskDef({"U": 10.0, "ell": 1}, _task_sieve),
     "gauss": TaskDef({"q_max": 100, "U": 100.0, "ell": 1, "all_a": False}, _task_gauss),

@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .intersective import AuxiliaryContext
-from .polycore import IntPoly
 from .search import AvoidingSet
 from .sieve import SieveTable, J_factor_float, in_W, w_mask
 
@@ -215,32 +214,17 @@ def g_build(
         raise ValueError("g_build needs a polynomial positive and increasing on the naturals")
     if table is None:
         table = SieveTable.build(aux, U)
-    n_max = _largest_n_below(poly, X)
+    n_max = poly.largest_n_at_most(X)
     if n_max == 0:
         return WeightedImage(aux, X, U, np.zeros(0, np.int64), np.zeros(0), float(J_factor_float(table)), table)
-    mask = w_mask(table, n_max)[1:]
-    ns = np.nonzero(mask)[0] + 1
-    vals = np.array([poly(int(n)) for n in ns], dtype=np.int64)
-    dpoly = poly.derivative()
-    derivs = np.array([dpoly(int(n)) for n in ns], dtype=float)
+    ns = np.flatnonzero(w_mask(table, n_max)[1:]) + 1
+    # the values lie in [1, X], so they fit in int64 even when the
+    # evaluation bound forced object integers
+    vals = poly(ns).astype(np.int64, copy=False)
+    derivs = poly.derivative()(ns).astype(float)
     J = float(J_factor_float(table))
     weights = J * derivs * w(vals / X)
     return WeightedImage(aux, X, U, vals, weights, J, table)
-
-
-def _largest_n_below(poly: IntPoly, X: int) -> int:
-    if poly(1) > X:
-        return 0
-    lo, hi = 1, 2
-    while poly(hi) <= X:
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poly(mid) <= X:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +269,9 @@ def _phases_mod1(values: np.ndarray, theta) -> np.ndarray:
         return np.zeros(len(values))
     vmax = float(np.abs(values).max(initial=0))
     if vmax * t <= _FAST_PHASE_LIMIT:
-        return np.mod(values * t, 1.0)
+        # the float cast keeps object-integer values (IntPoly's exact path)
+        # on the same float64 arithmetic as int64 ones
+        return np.mod(values.astype(float) * t, 1.0)
     num, den = t.as_integer_ratio()  # den is a power of two
     mask = den - 1
     return np.array([(int(v) * num & mask) / den for v in values])
@@ -366,16 +352,12 @@ def gauss_sum_sweep(
     gauss_sum_sieved at every point."""
     if table is None:
         table = SieveTable.build(aux, U)
-    coeffs = aux.aux.coeffs
+    poly = aux.aux
     out = []
     for q in range(1, q_max + 1):
-        s = np.arange(q, dtype=np.int64)
         # w_mask indexes 1..q; rolling moves residue 0 from index q to the front
         keep = np.roll(w_mask(table, q, q)[1:], 1)
-        hmod = np.zeros(q, dtype=np.int64)
-        for c in reversed(coeffs):
-            hmod = (hmod * s + c) % q
-        hmod = hmod[keep]
+        hmod = poly.eval_mod(np.arange(q), q)[keep]
         roots_of_unity = np.exp(2j * np.pi * np.arange(q) / q)
         a_values = (
             [a for a in range(1, q + 1) if math.gcd(a, q) == 1] if all_a else [1]
@@ -431,13 +413,7 @@ def weyl_sum_audit(
     k = poly.degree
     K = 2**k
     b_k = poly.leading
-    mask = w_mask(table, N)[1:]
-    ns = np.nonzero(mask)[0] + 1
-    raw = [poly(int(n)) for n in ns]
-    if raw and max(abs(v) for v in raw) < 1 << 62:
-        vals = np.array(raw, dtype=np.int64)
-    else:
-        vals = np.array(raw, dtype=object)
+    vals = poly(np.flatnonzero(w_mask(table, N)[1:]) + 1)
     logU = math.log(U)
     samples = []
     for theta in theta_samples:
@@ -619,8 +595,7 @@ def major_arc_predict(
         notes.append("theta outside the major-arc radius hypothesis")
     table = image.table
     restricted = 1.0
-    for p in sorted(table.entries):
-        d = table.entries[p]
+    for d in table.entries.values():
         if q % d.modulus != 0:
             restricted *= 1.0 - d.j / d.modulus
     if q == 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .nt import crt, factorize, primes_upto, resultant, roots_mod, v_p
+from .nt import crt, divisors, factorize, primes_upto, resultant, v_p
 from .polycore import IntPoly
 
 
@@ -179,15 +179,8 @@ def _integer_roots(f: IntPoly) -> list[int]:
     c0 = abs(g.coeffs[0])
     if c0 == 0 or g.degree == 0:
         return sorted(roots)
-    from .nt import divisors
-
-    if c0 <= 10**15:
-        for d in divisors(c0):
-            for r in (d, -d):
-                if g(r) == 0 and r not in roots:
-                    roots.append(r)
-    else:  # degenerate constant term: fall back to a bounded scan
-        for r in range(-g.cauchy_bound(), g.cauchy_bound() + 1):
+    for d in divisors(c0):
+        for r in (d, -d):
             if g(r) == 0 and r not in roots:
                 roots.append(r)
     return sorted(roots)
@@ -254,14 +247,14 @@ class _SquarefreeRootFinder:
                 self.roots.append(_newton_lift(self.f, a, m, self.prec, p))
                 self._found = True
                 return
-        rts = roots_mod(list(g.coeffs), p)
+        rts = g.roots_mod(p)
         if len(rts) < p:
             self.max_dead_v = max(self.max_dead_v, vtot)
         if not rts:
             return
         if d >= self.budget:
             raise PrecisionExhausted(
-                f"lifting inconclusive for p={p} at depth {d}; raise the precision budget"
+                f"lifting inconclusive for p={p} at depth {d}, past the resultant budget"
             )
         for r in rts:
             gg = g.compose_affine(r, p)
@@ -272,17 +265,15 @@ class _SquarefreeRootFinder:
                 return
 
 
-def _factor_budget(f: IntPoly, p: int, precision: int, depth_bound: Optional[int]) -> int:
-    if depth_bound is not None:
-        return depth_bound
+def _factor_budget(f: IntPoly, p: int, precision: int) -> int:
+    """Search depth that always suffices: at depth 2 v_p(Res(f, f')) + 1
+    every surviving ball passes the Hensel test."""
     res = resultant(list(f.coeffs), list(f.derivative().coeffs))
     vres = v_p(res, p) if res != 0 else 0
     return max(precision, 2 * vres + 1) + 2
 
 
-def padic_roots(
-    h: IntPoly, p: int, precision: int, depth_bound: Optional[int] = None
-) -> list[LocalRootData]:
+def padic_roots(h: IntPoly, p: int, precision: int) -> list[LocalRootData]:
     """All distinct p-adic roots of h detected to the requested precision.
 
     Simple roots are lifted by Newton iteration; repeated-factor structure is
@@ -295,7 +286,7 @@ def padic_roots(
     for f, mult in squarefree_factors(h):
         if f.degree < 1:
             continue
-        finder = _SquarefreeRootFinder(f, p, precision, _factor_budget(f, p, precision, depth_bound))
+        finder = _SquarefreeRootFinder(f, p, precision, _factor_budget(f, p, precision))
         finder.run()
         for r in finder.roots:
             out.append(LocalRootData(p, r % p**precision, mult, precision))
@@ -309,14 +300,14 @@ def padic_roots(
     return uniq
 
 
-def _padic_solvable(h: IntPoly, p: int, depth_bound: Optional[int] = None) -> tuple[bool, int]:
+def _padic_solvable(h: IntPoly, p: int) -> tuple[bool, int]:
     """(True, 0) if h has a p-adic root; else (False, e) with no root mod p**e."""
     content = abs(h.content())
     exponent = v_p(content, p) if content > 1 else 0
     for f, mult in squarefree_factors(h):
         if f.degree < 1:
             continue
-        finder = _SquarefreeRootFinder(f, p, 1, _factor_budget(f, p, 1, depth_bound))
+        finder = _SquarefreeRootFinder(f, p, 1, _factor_budget(f, p, 1))
         finder.find_one = True
         finder.run()
         if finder.roots:
@@ -369,9 +360,7 @@ class EmpiricalUpTo:
 Verdict = Union[Certified, NotIntersective, EmpiricalUpTo]
 
 
-def intersectivity_verdict(
-    h: IntPoly, prime_bound: int, depth_bound: int = 64
-) -> Verdict:
+def intersectivity_verdict(h: IntPoly, prime_bound: int) -> Verdict:
     """Three-way verdict: integer-root certificate, finite refutation, or
     empirical solvability at every prime up to the bound."""
     if h.degree < 2:
@@ -381,7 +370,7 @@ def intersectivity_verdict(
         best = min(roots, key=lambda r: (abs(r), r))
         return Certified(best)
     for p in primes_upto(prime_bound):
-        ok, exponent = _padic_solvable(h, p, depth_bound)
+        ok, exponent = _padic_solvable(h, p)
         if not ok:
             return NotIntersective(p, exponent)
     return EmpiricalUpTo(prime_bound)
@@ -450,7 +439,7 @@ class AuxiliaryBuilder:
 
     def _ensure_roots(self, p: int, precision: int) -> list[LocalRootData]:
         if self._prec.get(p, 0) < precision:
-            found = padic_roots(self.h, p, precision, None)
+            found = padic_roots(self.h, p, precision)
             if not found:
                 raise MissingRootError(
                     f"h has no {p}-adic root; contexts with {p} | ell are impossible"

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-import numpy as np
-
 
 def primes_upto(n: int) -> list[int]:
     """All primes p <= n via a byte sieve."""
@@ -174,30 +172,3 @@ def resultant(f: list[int], g: list[int]) -> int:
 
 def gcd_many(values) -> int:
     return reduce(math.gcd, values, 0)
-
-
-def roots_mod(coeffs: list[int], m: int) -> list[int]:
-    """Residues r in [0, m) with f(r) = 0 (mod m), by exhaustive evaluation.
-
-    Uses a vectorized Horner pass for large m; m must fit in int64 after
-    squaring (m < 2**31).
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m >= 1 << 31:
-        raise ValueError("roots_mod supports moduli below 2^31")
-    cs = [c % m for c in coeffs]
-    if m <= 256:
-        out = []
-        for r in range(m):
-            acc = 0
-            for c in reversed(cs):
-                acc = (acc * r + c) % m
-            if acc == 0:
-                out.append(r)
-        return out
-    xs = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    for c in reversed(cs):
-        acc = (acc * xs + c) % m
-    return np.nonzero(acc == 0)[0].tolist()

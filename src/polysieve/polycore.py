@@ -1,7 +1,9 @@
 """Exact integer polynomials with arbitrary-precision coefficients.
 
 Coefficients are stored constant term first, so ``coeffs[i]`` is the
-coefficient of x**i. All arithmetic is exact; nothing here touches floats.
+coefficient of x**i. IntPoly is the package's one polynomial evaluator: at
+a scalar or elementwise on an integer array, optionally mod m. Evaluation is
+exact; an array uses int64 only where no intermediate can overflow.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .nt import gcd_many
 
@@ -44,16 +48,59 @@ class IntPoly:
         return self.coeffs == (0,)
 
     def __call__(self, x):
+        """self(x) for a scalar, or elementwise for an integer ndarray.
+
+        An array is evaluated in int64 when sum |c_i| * top**i < 2**63 with
+        top = max(1, max|x|), which bounds every coefficient and every Horner
+        intermediate, and in exact object integers otherwise; the result has
+        that dtype.
+        """
+        if isinstance(x, np.ndarray):
+            top = max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+            bound = sum(abs(c) * top**i for i, c in enumerate(self.coeffs))
+            x = x.astype(np.int64 if bound < 1 << 63 else object, copy=False)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def eval_mod(self, x: int, m: int) -> int:
+    def eval_mod(self, x, m: int):
+        """self(x) mod m in [0, m), for a scalar or an integer ndarray.
+
+        Coefficients and array elements are reduced mod m first; an array
+        needs 1 <= m < 2**31 so that every product of two residues fits in
+        int64.
+        """
+        if isinstance(x, np.ndarray):
+            if not 1 <= m < 1 << 31:
+                raise ValueError("eval_mod on an array needs 1 <= m < 2^31")
+            x = (x % m).astype(np.int64, copy=False)
+        cs = [c % m for c in self.coeffs]
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = (acc * x + c) % m
         return acc
+
+    def roots_mod(self, m: int) -> list[int]:
+        """Residues r in [0, m) with self(r) = 0 (mod m), by evaluation at
+        every residue; needs 1 <= m < 2**31."""
+        return np.flatnonzero(self.eval_mod(np.arange(m), m) == 0).tolist()
+
+    def largest_n_at_most(self, X: int) -> int:
+        """Largest n >= 1 with self(n) <= X, or 0 when self(1) > X; self must
+        be increasing on n >= 1."""
+        if self(1) > X:
+            return 0
+        lo, hi = 1, 2
+        while self(hi) <= X:
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self(mid) <= X:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def derivative(self) -> "IntPoly":
         if self.degree == 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .intersective import AuxiliaryContext
 from .polycore import IntPoly
-from .sieve import SieveTable, in_W
+from .sieve import SieveTable, w_mask
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,13 @@ def forbidden_values(
         if not isinstance(aux, AuxiliaryContext):
             raise ValueError("mode 'sieved' needs an AuxiliaryContext")
         table = SieveTable.build(aux, U)
-    vals = []
-    n = 1
-    while True:
-        v = poly(n)
-        if v > X:
-            break
-        if v >= 1 and (mode == "all" or in_W(n, table)):
-            vals.append(v)
-        n += 1
-    return sorted(set(vals))
+    n_max = poly.largest_n_at_most(X)
+    if mode == "all":
+        ns = np.arange(1, n_max + 1)
+    else:
+        ns = np.flatnonzero(w_mask(table, n_max)[1:]) + 1
+    # poly increases on n >= 1, so the values come out sorted and distinct
+    return [v for v in poly(ns).tolist() if v >= 1]
 
 
 def _forbidden_mask(F: Sequence[int], X: int) -> int:

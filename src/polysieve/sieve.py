@@ -10,14 +10,14 @@ live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .intersective import AuxiliaryContext
-from .nt import gcd_many, primes_upto, roots_mod, v_p
+from .nt import gcd_many, primes_upto, v_p
 from .polycore import IntPoly
 
 
@@ -27,18 +27,16 @@ class LocalSieveDatum:
     gamma: int
     j: int
     roots: tuple[int, ...]  # residues mod p**gamma with derivative = 0
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.gamma
+    modulus: int  # p**gamma
 
 
 @dataclass(frozen=True)
 class SieveTable:
     aux: AuxiliaryContext
     U: float
-    entries: dict[int, LocalSieveDatum]
+    entries: dict[int, LocalSieveDatum]  # ascending p, as build inserts them
     period: int
+    _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, aux: AuxiliaryContext, U: float) -> "SieveTable":
@@ -50,12 +48,26 @@ class SieveTable:
             period *= datum.modulus
         return cls(aux, U, entries, period)
 
+    def conditions(self, q: Optional[int] = None) -> list[tuple[int, frozenset[int]]]:
+        """(modulus, root set) of each condition that applies at modulus q,
+        in prime order: every condition when q is None, else those whose
+        modulus divides q. Kept per q, since membership tests repeat them."""
+        out = self._conditions.get(q)
+        if out is None:
+            out = [
+                (d.modulus, frozenset(d.roots))
+                for d in self.entries.values()
+                if q is None or q % d.modulus == 0
+            ]
+            self._conditions[q] = out
+        return out
+
     def to_jsonable(self) -> dict:
         return {
             "ell": self.aux.ell,
             "U": self.U,
             "entries": [
-                {"p": p, "gamma": d.gamma, "j": d.j} for p, d in sorted(self.entries.items())
+                {"p": p, "gamma": d.gamma, "j": d.j} for p, d in self.entries.items()
             ],
             "period": str(self.period),
         }
@@ -75,32 +87,21 @@ def local_datum(aux: IntPoly, p: int) -> LocalSieveDatum:
         raise ValueError("derivative is identically zero")
     gamma = v_p(fixed_divisor(d), p) + 1
     m = p**gamma
-    roots = tuple(roots_mod(list(d.coeffs), m))
-    return LocalSieveDatum(p, gamma, len(roots), roots)
-
-
-def _applicable(table: SieveTable, q: Optional[int]):
-    for p in sorted(table.entries):
-        datum = table.entries[p]
-        if q is None or q % datum.modulus == 0:
-            yield datum
+    roots = tuple(d.roots_mod(m))
+    return LocalSieveDatum(p, gamma, len(roots), roots, m)
 
 
 def in_W(n: int, table: SieveTable, q: Optional[int] = None) -> bool:
     """Membership in W(U), or in W^q(U) when q is given."""
-    for datum in _applicable(table, q):
-        if n % datum.modulus in datum.roots:
-            return False
-    return True
+    return not any(n % m in roots for m, roots in table.conditions(q))
 
 
 def w_mask(table: SieveTable, N: int, q: Optional[int] = None) -> np.ndarray:
     """Boolean array of length N+1; index n says whether n is in W (index 0 False)."""
     mask = np.ones(N + 1, dtype=bool)
     mask[0] = False
-    for datum in _applicable(table, q):
-        m = datum.modulus
-        for r in datum.roots:
+    for m, roots in table.conditions(q):
+        for r in roots:
             start = r if r >= 1 else m
             if start <= N:
                 mask[start :: m] = False
@@ -110,8 +111,7 @@ def w_mask(table: SieveTable, N: int, q: Optional[int] = None) -> np.ndarray:
 def J_factor(table: SieveTable, q: Optional[int] = None) -> Fraction:
     """Exact product of (1 - j/p**gamma)^(-1) over applicable primes."""
     out = Fraction(1)
-    for p in sorted(table.entries):
-        datum = table.entries[p]
+    for datum in table.entries.values():
         if q is not None and q % datum.modulus == 0:
             continue
         out *= Fraction(datum.modulus, datum.modulus - datum.j)
@@ -121,8 +121,7 @@ def J_factor(table: SieveTable, q: Optional[int] = None) -> Fraction:
 def J_factor_float(table: SieveTable, q: Optional[int] = None) -> float:
     """Float J for large sieve levels where the exact rational is unwieldy."""
     acc = 0.0
-    for p in sorted(table.entries):
-        datum = table.entries[p]
+    for datum in table.entries.values():
         if q is not None and q % datum.modulus == 0:
             continue
         acc += math.log(datum.modulus) - math.log(datum.modulus - datum.j)
@@ -177,18 +176,17 @@ def brun_sum_audit(table: SieveTable, q: int, b: int, t: int) -> BrunReport:
     d = aux.derivative()
     mask = w_mask(table, t)
     idx = np.arange(t + 1)
-    sel = mask & (idx % q == b % q)
-    empirical = sum(d(int(n)) for n in np.nonzero(sel)[0])
+    ns = np.flatnonzero(mask & (idx % q == b % q))
+    empirical = sum(d(ns).tolist())
 
     paper = Fraction(aux(t), q) / J_factor(table, q)
     refined = Fraction(aux(t), q)
     blocked = None
-    for p in sorted(table.entries):
-        datum = table.entries[p]
+    for datum in table.entries.values():
         factor = _refined_local_factor(datum, q, b)
         refined *= factor
         if factor == 0 and blocked is None:
-            blocked = p
+            blocked = datum.p
     b_in = in_W(b, table, q)
     abs_err = abs(empirical - refined)
     if refined != 0:

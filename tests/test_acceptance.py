@@ -306,11 +306,11 @@ def test_criterion_11_greedy_scaling():
     )
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(tmp_path):
     path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     results = []
     for sub in ("det_a", "det_b"):
-        out = Path("/tmp/polysieve_acceptance") / sub
+        out = tmp_path / sub
         cfg = ExperimentConfig.load(path)
         run_experiment(cfg, out)
         lines = (out / "records.jsonl").read_text().splitlines()

@@ -31,10 +31,11 @@ def test_config_strictness():
         ExperimentConfig.from_dict(
             {**MINIMAL, "tasks": [{"name": "no_such_task", "params": {}}]}
         )
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(
-            {**MINIMAL, "tasks": [{"name": "f_eval", "params": {"wat": 1}}]}
-        )
+    for name, key in (("f_eval", "wat"), ("check", "depth_bound")):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {**MINIMAL, "tasks": [{"name": name, "params": {key: 1}}]}
+            )
     for key in ("zeta", "U", "Z", "brun_tolerance"):  # keys no code reads
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**MINIMAL, "constants": {key: 2}})

@@ -179,13 +179,18 @@ def test_gauss_examples(x2ctx):
         gauss_sum_sieved(x2ctx, 2, 4, 2)
 
 
-def test_gauss_sweep_matches_pointwise(x2ctx):
+def test_gauss_sweep_matches_pointwise(x2ctx, fixtures):
     from polysieve.harmonic import gauss_sum_sweep
 
-    table = SieveTable.build(x2ctx, 10)
-    for q, a, mag in gauss_sum_sweep(x2ctx, 24, 10, all_a=True, table=table):
-        direct = abs(gauss_sum_sieved(x2ctx, a if q > 1 else 1, q, 10, table))
-        assert mag == pytest.approx(direct, abs=1e-9)
+    # the sextic's auxiliary polynomial at ell = 2^13 has 63- to 69-bit
+    # coefficients, past int64
+    sextic = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    assert max(abs(c) for c in sextic.aux.coeffs) >= 2**63
+    for ctx, q_max, U in ((x2ctx, 24, 10), (sextic, 60, 60)):
+        table = SieveTable.build(ctx, U)
+        for q, a, mag in gauss_sum_sweep(ctx, q_max, U, all_a=True, table=table):
+            direct = abs(gauss_sum_sieved(ctx, a if q > 1 else 1, q, U, table))
+            assert mag == pytest.approx(direct, abs=1e-9)
 
 
 def test_gauss_odd_prime_magnitudes(x2ctx):
@@ -242,6 +247,20 @@ def test_weyl_envelope_golden(x2ctx):
     assert rep.max_fitted_c < 10.0
     for s in rep.samples:
         assert s.lhs <= s.rhs * max(s.fitted_c, 1.0) + 1e-9
+
+
+def test_weyl_object_values_small_theta(fixtures):
+    # values past 2^63 evaluate as object integers; with |value * theta|
+    # below 2^32 their phases take the float64 path
+    ctx = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    theta = 2.0**-150
+    rep = weyl_sum_audit(ctx, 4.0, 10**4, [theta])
+    ns = np.flatnonzero(w_mask(SieveTable.build(ctx, 4.0), 10**4))
+    ref = sum(
+        cmath.exp(-2j * math.pi * float(Fraction(ctx.aux(int(n))) * Fraction(theta) % 1))
+        for n in ns
+    )
+    assert abs(rep.samples[0].lhs - abs(ref)) <= 1e-9 * len(ns)
 
 
 def test_weyl_hypothesis_guard(x2ctx):

@@ -70,6 +70,19 @@ def test_verdict_examples(fixtures):
     assert all((x * x - 2) % mod != 0 for x in range(mod))
 
 
+def test_verdict_large_constant_term():
+    # (x - 10^16)(x - 5): the roots come from the divisors of 5 * 10^16
+    h = IntPoly((5 * 10**16, -(10**16 + 5), 1))
+    assert intersectivity_verdict(h, 100) == Certified(5)
+
+
+def test_verdict_deep_two_adic_root():
+    # 17 * 2^140 is a 2-adic square whose root lies more than 64 digits
+    # deep; the resultant budget reaches it, and p = 3 refutes
+    h = IntPoly((-17 * 2**140, 0, 1))
+    assert intersectivity_verdict(h, 100) == NotIntersective(3, 1)
+
+
 def test_verdict_sextic_empirical(fixtures):
     v = intersectivity_verdict(fixtures["sextic"], 10**4)
     assert v == EmpiricalUpTo(10**4)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,3 +103,52 @@ def test_zero_and_normalization():
     assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert IntPoly((0,)).is_zero
     assert IntPoly((0,)).degree == 0
+
+
+@st.composite
+def coeffs_and_points(draw):
+    # magnitudes drawn by bit length, so both sides of the int64 guard occur
+    bits = draw(st.integers(0, 70))
+    coeffs = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=6))
+    top = draw(st.integers(0, 62))
+    ns = draw(st.lists(st.integers(-(2**top), 2**top), min_size=1, max_size=20))
+    return coeffs, ns
+
+
+@given(coeffs_and_points(), st.integers(1, 2**31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_array_eval_matches_scalar(case, m):
+    coeffs, ns = case
+    h = IntPoly.of(coeffs)
+    xs = np.array(ns, dtype=np.int64)
+    vals = h(xs)
+    assert vals.tolist() == [h(n) for n in ns]
+    top = max(1, *(abs(n) for n in ns))
+    fits = sum(abs(c) * top**i for i, c in enumerate(h.coeffs)) < 2**63
+    assert vals.dtype == (np.int64 if fits else object)
+    assert h.eval_mod(xs, m).tolist() == [h(n) % m for n in ns] == [h.eval_mod(n, m) for n in ns]
+
+
+def test_array_eval_guard_edges():
+    square = IntPoly((0, 0, 1))
+    edge = 3037000499  # largest n with n^2 < 2^63
+    for n, dtype in ((edge, np.int64), (edge + 1, object)):
+        vals = square(np.array([-n, 0, n]))
+        assert vals.dtype == dtype and vals.tolist() == [n * n, 0, n * n]
+    for m in (0, 2**31):
+        with pytest.raises(ValueError):
+            square.eval_mod(np.arange(4), m)
+
+
+@given(small_coeffs, st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_roots_mod_matches_scan(coeffs, m):
+    h = IntPoly.of(coeffs)
+    assert h.roots_mod(m) == [r for r in range(m) if h(r) % m == 0]
+
+
+def test_largest_n_at_most():
+    square = IntPoly((0, 0, 1))
+    assert square.largest_n_at_most(0) == 0
+    assert [square.largest_n_at_most(X) for X in (1, 3, 4, 99, 100)] == [1, 1, 2, 9, 10]
+    assert IntPoly((5, 1)).largest_n_at_most(5) == 0

@@ -20,6 +20,7 @@ from polysieve.search import (
     greedy_avoiding,
     verify_avoiding,
 )
+from polysieve.sieve import SieveTable, in_W
 
 SQ = squares_upto(10**5)
 
@@ -31,6 +32,33 @@ def test_forbidden_values_examples():
     aux2 = AuxiliaryBuilder(IntPoly((-1, 0, 1))).context(2)
     assert aux2.aux.coeffs == (0, -2, 2)
     assert forbidden_values(aux2, 30) == [4, 12, 24]
+
+
+def _forbidden_per_n(poly, X, table=None):
+    """The per-n scan forbidden_values used to run: reference only."""
+    vals = []
+    n = 1
+    while True:
+        v = poly(n)
+        if v > X:
+            break
+        if v >= 1 and (table is None or in_W(n, table)):
+            vals.append(v)
+        n += 1
+    return sorted(set(vals))
+
+
+def test_forbidden_values_matches_per_n_scan(normalized_fixtures):
+    for h in normalized_fixtures.values():
+        builder = AuxiliaryBuilder(h)
+        for ell in (1, 6):
+            ctx = builder.context(ell)
+            tables = [SieveTable.build(ctx, U) for U in (2, 10)]
+            for X in (1, 50, 10**4):
+                assert forbidden_values(ctx, X) == _forbidden_per_n(ctx.aux, X)
+                for table in tables:
+                    expect = _forbidden_per_n(ctx.aux, X, table)
+                    assert forbidden_values(ctx, X, "sieved", table=table) == expect
 
 
 def test_exact_examples():

@@ -75,10 +75,11 @@ def test_density_identity_exact(normalized_fixtures):
 
 
 def test_w_mask_matches_pointwise(x2ctx):
-    table = SieveTable.build(x2ctx, 5)
-    mask = w_mask(table, 300)
-    for n in range(1, 301):
-        assert mask[n] == in_W(n, table)
+    for U, q in ((5, None), (1000, 1), (1000, 12), (1000, 1000), (1000, None)):
+        table = SieveTable.build(x2ctx, U)
+        mask = w_mask(table, 300, q)
+        for n in range(1, 301):
+            assert mask[n] == in_W(n, table, q)
 
 
 def test_wq_with_covering_q_matches_unrestricted(x2ctx):
