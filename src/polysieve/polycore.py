@@ -84,6 +84,10 @@ class IntPoly:
     def roots_mod(self, m: int) -> list[int]:
         """Residues r in [0, m) with self(r) = 0 (mod m), by evaluation at
         every residue; needs 1 <= m < 2**31."""
+        if not 1 <= m < 1 << 31:
+            raise ValueError("roots_mod needs 1 <= m < 2^31")
+        if m <= 16:  # numpy's per-call cost exceeds a scalar loop this small
+            return [r for r in range(m) if self.eval_mod(r, m) == 0]
         return np.flatnonzero(self.eval_mod(np.arange(m), m) == 0).tolist()
 
     def largest_n_at_most(self, X: int) -> int:

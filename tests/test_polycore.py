@@ -138,6 +138,8 @@ def test_array_eval_guard_edges():
     for m in (0, 2**31):
         with pytest.raises(ValueError):
             square.eval_mod(np.arange(4), m)
+        with pytest.raises(ValueError):
+            square.roots_mod(m)
 
 
 @given(small_coeffs, st.integers(1, 300))
