@@ -361,10 +361,8 @@ def _task_weight(ctx: RunContext, p: dict) -> dict:
             "weight_decay.csv",
             "t,magnitude,envelope\n"
             + "".join(
-                f"{t:.17g},{abs(m):.17g},{audit.fitted_c * math.exp(-math.sqrt(t / 2)):.17g}\n"
-                for t, m in zip(
-                    np.arange(0, p["t_max"] + 1e-9, 0.25), w.fourier(np.arange(0, p["t_max"] + 1e-9, 0.25))
-                )
+                f"{t:.17g},{m:.17g},{audit.fitted_c * math.exp(-math.sqrt(t / 2)):.17g}\n"
+                for t, m in zip(audit.ts, audit.magnitudes)
             ),
         )
     )

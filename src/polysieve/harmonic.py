@@ -123,9 +123,8 @@ class WeightFourierAudit:
     argmax_t: float
     w0: float
     violations: list[float]
-
-    def envelope(self, t: float) -> float:
-        return self.fitted_c * math.exp(-math.sqrt(abs(t) / 2.0))
+    ts: np.ndarray = field(repr=False)  # the sampled t = m / samples_per_unit
+    magnitudes: np.ndarray = field(repr=False)  # |w^(t)| at each sampled t
 
     def to_jsonable(self) -> dict:
         return {
@@ -167,6 +166,8 @@ def weight_fourier_audit(
         argmax_t=arg,
         w0=float(mags[0]),
         violations=[float(t) for t in bad],
+        ts=ts,
+        magnitudes=mags,
     )
 
 
@@ -490,6 +491,12 @@ class ArcParams:
         expect = math.log(1.0 / self.alpha) if self.alpha < 1 else 0.0
         return self.tau > 0 and self.Qmax >= 2 and abs(expect - self.L) < 1e-12
 
+    @property
+    def covers_circle(self) -> bool:
+        """Whether the arcs cover R/Z: the widest gap between Farey fractions
+        of order Q = floor(Qmax) is 1/Q, so exactly when 2 tau Q >= 1."""
+        return 2.0 * self.tau * int(self.Qmax) >= 1.0
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -516,6 +523,32 @@ def classify_arc(theta: float, params: ArcParams) -> Arc:
         if dist <= params.tau + 1e-18:
             return Arc("major", q, a % q if q > 1 else 0)
     return Arc("minor")
+
+
+def major_arc_mask(thetas: np.ndarray, params: ArcParams) -> np.ndarray:
+    """classify_arc(theta, params).is_major for every theta in an array.
+
+    theta mod 1 is major iff its float distance to the nearest a/q with
+    q <= Qmax is at most tau; the nearest fraction is one of the two sorted
+    neighbours of theta. Denominators go in blocks of at most about 2^21
+    fractions, which bounds the memory.
+    """
+    t = np.asarray(thetas, dtype=float)
+    t = t - np.floor(t)
+    if params.covers_circle:
+        return np.ones(t.shape, dtype=bool)
+    tol = params.tau + 1e-18
+    mask = np.zeros(t.shape, dtype=bool)
+    qmax = int(params.Qmax)
+    step = max(1, (1 << 21) // (qmax + 1))
+    for lo in range(1, qmax + 1, step):
+        qs = range(lo, min(lo + step, qmax + 1))
+        fracs = np.sort(np.concatenate([np.arange(q + 1) / q for q in qs]))
+        # fracs holds 0 and 1, so t in [0, 1) lies between fracs[i - 1] and
+        # fracs[i]; at t = 0, fracs[-1] = 1 is a harmless neighbour
+        i = np.searchsorted(fracs, t)
+        mask |= (np.abs(t - fracs[i - 1]) <= tol) | (np.abs(t - fracs[i]) <= tol)
+    return mask
 
 
 @dataclass
@@ -645,15 +678,14 @@ def minor_arc_audit(
     params: Optional[ArcParams] = None,
     epsilon: float = 1.0,
     C1: float = 10.0,
-    extra_points: Optional[Sequence[float]] = None,
-    hypothesis_constant: float = 1e-6,
+    extra_points: Sequence[float] = (),
 ) -> MinorArcReport:
-    """Empirical sup of |g^| over sampled minor-arc frequencies versus the
-    threshold 2^-9 alpha X.
+    """Exact sup of |g^| over the minor-arc points of the FFT grid j/N and of
+    `extra_points`, against the threshold 2^-9 alpha X.
 
-    Samples a full FFT grid (classified lazily, largest magnitudes first)
-    plus adversarial points just outside major arcs and at rationals with
-    denominators above the cutoff.
+    `major_arc_mask` decides every point at once; `argmax_theta` is reduced
+    into [0, 1). `alpha_floor` is the bound (log X)^{ek} exp(-(log X)^{3/8})
+    that `hypothesis_ok` tests alpha against.
     """
     X = image.X
     if params is None:
@@ -661,62 +693,32 @@ def minor_arc_audit(
     threshold = 2.0**-9 * alpha * X
     k = image.aux.aux.degree
     logx = math.log(X)
-    alpha_floor = hypothesis_constant * logx ** (math.e * k) * math.exp(-(logx**0.375))
-    hypothesis_ok = alpha >= logx ** (math.e * k) * math.exp(-(logx**0.375))
+    alpha_floor = logx ** (math.e * k) * math.exp(-(logx**0.375))
 
-    # with q up to Qmax and radius tau the arcs cover everything once
-    # 0.6 Qmax^2 tau exceeds 1/2; the audit is then vacuously empty
-    cover = 0.6 * params.Qmax**2 * params.tau > 0.5
     maxv = int(image.values.max(initial=0))
     N = 1 << max(4, (2 * maxv + 1).bit_length())
-    spec = fourier_grid(image, N)
-    mags = np.abs(spec.values)
-    order = np.argsort(mags)[::-1]
-    sup = 0.0
-    arg: Optional[float] = None
-    n_minor = 0
-    for j in order[: min(N, 4096)]:
-        if mags[j] <= sup:
-            break
-        theta = j / N
-        if not classify_arc(theta, params).is_major:
-            sup = float(mags[j])
-            arg = theta
-            n_minor += 1
-            break
-    # adversarial points: just outside small-q arcs, and on medium-q rationals
-    points = []
-    qmax = int(params.Qmax)
-    for q in range(1, min(qmax, 40) + 1):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                points.append(a / q + 1.25 * params.tau)
-                points.append(a / q - 1.25 * params.tau)
-        if len(points) > 1500:
-            break
-    for q in range(qmax + 1, qmax + 40):
-        points.append(1.0 / q)
-    if extra_points:
-        points.extend(extra_points)
-    for theta in points:
-        if classify_arc(theta, params).is_major:
-            continue
-        n_minor += 1
-        val = abs(image.fourier(theta))
-        if val > sup:
-            sup = val
-            arg = theta
+    extra = np.asarray(extra_points, dtype=float)
+    thetas = np.concatenate([np.arange(N) / N, extra])
+    minor = ~major_arc_mask(thetas, params)
+    sup, arg = 0.0, None
+    if minor.any():
+        mags = np.concatenate(
+            [np.abs(fourier_grid(image, N).values), [abs(image.fourier(t)) for t in extra]]
+        )
+        best = int(np.where(minor, mags, -1.0).argmax())
+        sup = float(mags[best])
+        arg = float(thetas[best] - math.floor(thetas[best]))
     return MinorArcReport(
         threshold=threshold,
         sup_minor=sup,
         argmax_theta=arg,
         passes=sup <= threshold,
         margin_ratio=sup / threshold if threshold else math.inf,
-        n_minor_sampled=n_minor,
-        hypothesis_ok=hypothesis_ok,
+        n_minor_sampled=int(minor.sum()),
+        hypothesis_ok=alpha >= alpha_floor,
         alpha_floor=alpha_floor,
         mass=image.total_mass,
-        arcs_cover_circle=cover,
+        arcs_cover_circle=params.covers_circle,
     )
 
 

@@ -8,7 +8,6 @@ exact; an array uses int64 only where no intermediate can overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,9 +149,8 @@ class IntPoly:
         """Integer B such that every real root x satisfies |x| < B."""
         if self.degree == 0:
             return 1
-        lead = abs(self.leading)
-        frac = max(abs(c) for c in self.coeffs[:-1]) / lead
-        return 1 + math.ceil(1 + frac)
+        # 2 + ceil(max |c_i| / |lead|), in integers so that no float overflows
+        return 2 - (-max(abs(c) for c in self.coeffs[:-1]) // abs(self.leading))
 
     def positive_for_all_n_from(self, n0: int = 1) -> bool:
         """True iff self(n) > 0 for every integer n >= n0 (exact check)."""

@@ -83,6 +83,7 @@ class AvoidingSet:
 def image_values(poly: IntPoly, lo: int, hi: int) -> list[int]:
     """All values of poly over the integers that land in [lo, hi], sorted."""
     vals = set()
+    cauchy = poly.cauchy_bound()
     n = 1
     while True:
         v = poly(n)
@@ -91,9 +92,9 @@ def image_values(poly: IntPoly, lo: int, hi: int) -> list[int]:
         if lo <= v <= hi:
             vals.add(v)
         n += 1
-        if n > hi + poly.cauchy_bound() + 2:
+        if n > hi + cauchy + 2:
             break
-    bound = poly.cauchy_bound() + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
+    bound = cauchy + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
     for n in range(-bound, 1):
         v = poly(n)
         if lo <= v <= hi:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polysieve.cli import (
@@ -16,6 +17,7 @@ from polysieve.cli import (
     run_experiment,
     to_jsonable,
 )
+from polysieve.harmonic import smooth_weight_build
 
 MINIMAL = {
     "polynomial": [0, 0, 1],
@@ -121,10 +123,16 @@ def test_cli_subcommands_smoke(tmp_path):
     assert main(["gauss", "--q-max", "20", "--out", str(tmp_path / "q")]) == 0
     assert _task_record(tmp_path / "q")["params"] == {"q_max": 20, "U": 100.0}
     # without flags, a subcommand records the TASKS defaults of its flags
-    for name in ("aux", "mass", "greedy"):
+    for name in ("aux", "mass", "greedy", "weight"):
         assert main([name, "--out", str(tmp_path / name)]) == 0
         params = _task_record(tmp_path / name)["params"]
         assert params and params == {k: TASKS[name].params[k] for k in params}
+    # the weight task writes the audit's FFT magnitudes; sampled rows match
+    # the direct transform
+    rows = (tmp_path / "weight" / "weight_decay.csv").read_text().splitlines()[1::97]
+    t, mag = np.array([[float(x) for x in row.split(",")[:2]] for row in rows]).T
+    w = smooth_weight_build(TASKS["weight"].params["depth"], TASKS["weight"].params["resolution"])
+    assert np.abs(mag - np.abs(w.fourier(t))).max() <= 1e-12
 
 
 def _task_record(run_dir):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from polysieve.harmonic import (
     g_build,
     gauss_sum_sieved,
     initial_mass,
+    major_arc_mask,
     major_arc_predict,
     minor_arc_audit,
     rational_approx,
@@ -371,6 +373,7 @@ def test_minor_arc_qualitative(smooth24, x2ctx):
     assert rep.threshold == pytest.approx(2.0**-9 * 0.1 * X)
     assert rep.passes == (rep.sup_minor <= rep.threshold)
     assert not rep.hypothesis_ok  # the asymptotic lower bound cannot hold here
+    assert rep.hypothesis_ok == (0.1 >= rep.alpha_floor)
     assert not rep.arcs_cover_circle
 
 
@@ -391,6 +394,37 @@ def test_minor_arc_excludes_major_points(smooth24, x2ctx):
     rep = minor_arc_audit(img, 0.1, params=params)
     assert rep.n_minor_sampled > 0
     assert classify_arc(rep.argmax_theta, params).kind == "minor"
+
+
+@pytest.mark.parametrize(
+    "qmax, tau_times_q",
+    [(40.0, None), (200.0, None), (40.0, 0.6), (1250.0, None)],
+    ids=["qmax40", "qmax200", "farey_cover", "dirichlet_cover"],
+)
+def test_minor_arc_audit_matches_brute_force(smooth24, x2ctx, qmax, tau_times_q):
+    X = 2 * 10**4
+    img = g_build(x2ctx, X, 2, smooth24)
+    params = dataclasses.replace(ArcParams.make(0.2, 1.0, 10.0, X), Qmax=qmax)
+    if tau_times_q is not None:
+        params = dataclasses.replace(params, tau=tau_times_q / qmax)
+    extra = [math.sqrt(2), -math.pi, 3 + 2 * params.tau]
+    rep = minor_arc_audit(img, 0.2, params=params, extra_points=extra)
+
+    N = 2**16
+    thetas = [j / N for j in range(N)] + extra
+    minor = np.array([not classify_arc(t, params).is_major for t in thetas])
+    assert np.array_equal(~major_arc_mask(np.array(thetas), params), minor)
+    mags = np.concatenate(
+        [np.abs(fourier_grid(img, N).values), [abs(img.fourier(t)) for t in extra]]
+    )
+    assert rep.n_minor_sampled == int(minor.sum())
+    assert rep.arcs_cover_circle == (not minor.any())
+    if minor.any():
+        assert rep.sup_minor == mags[minor].max()
+        assert 0.0 <= rep.argmax_theta < 1.0
+        assert abs(abs(img.fourier(rep.argmax_theta)) - rep.sup_minor) <= 1e-9 * img.total_mass
+    else:
+        assert rep.sup_minor == 0.0 and rep.argmax_theta is None
 
 
 def test_initial_mass_examples():

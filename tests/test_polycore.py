@@ -44,6 +44,20 @@ def test_normalize_positive_examples():
     assert (g.coeffs, c) == ((0, 2, 1), 1)
 
 
+def test_cauchy_bound_exact():
+    sextic = (-48841, 0, 6851, 0, -251, 0, 1)  # (x^2 - 13)(x^2 - 17)(x^2 - 221)
+    for coeffs, bound in (
+        ((0, 0, 1), 2),
+        ((-1, 0, 1), 3),
+        (sextic, 48843),
+        ((7, 3, 2), 6),
+        ((5, 0, 0, 3), 4),
+    ):
+        assert IntPoly(coeffs).cauchy_bound() == bound
+    # a float quotient overflows here
+    assert IntPoly((10**400, 0, 1)).cauchy_bound() == 10**400 + 2
+
+
 def test_normalize_positive_rejects_bad_input():
     with pytest.raises(ValueError):
         normalize_positive(IntPoly((0, 1)))  # degree 1
