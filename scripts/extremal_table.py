@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Exact D(F, X) table for square differences with a wallclock budget.
 
-Prints CSV rows X,D,witness; stops cleanly when the budget runs out (the
-refutation searches grow exponentially once X passes ~180).
+Prints CSV rows X,D,witness; stops cleanly when the budget runs out. On a
+2-core Xeon the compiled search reaches X = 172 in about 0.3 s and
+X = 185-186 in 120 s; past X ~ 176 each refutation step on the D = 39
+plateau costs about 1.5-2.4 times the one before.
 
 Usage: python scripts/extremal_table.py [x_max] [budget_seconds]
 """

@@ -279,7 +279,8 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     alpha = float(p["alpha"])
     if int(p["variant"]) in (1, 2):
-        fam = leveld.build_family(int(p["variant"]), alpha, float(p["epsilon"]))
+        consts = {k: float(v) for k, v in ctx.config.constants.items() if k in ("C1", "C2", "C3")}
+        fam = leveld.build_family(int(p["variant"]), alpha, float(p["epsilon"]), consts)
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []

@@ -238,19 +238,27 @@ def _support(source: Source) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(vals, dtype=np.int64), np.asarray(weights, dtype=float)
 
 
-def _phases_mod1(values: np.ndarray, theta) -> np.ndarray:
+def _low64(values: np.ndarray) -> np.ndarray:
+    """values mod 2^64 as uint64."""
+    if values.dtype == object:
+        values = values & ((1 << 64) - 1)
+    return values.astype(np.uint64)
+
+
+def _phases_mod1(values: np.ndarray, theta, low64: Optional[np.ndarray] = None) -> np.ndarray:
     """values * theta mod 1, reduced exactly in integers and rounded once.
 
     theta is the rational num/den that it is (exact for a float). A power of
-    two den <= 2^64 reduces in wrapping uint64 products, any den < 2^31 in
-    int64, and every other den in object integers.
+    two den <= 2^64 reduces in wrapping uint64 products of values mod 2^64
+    (low64, when a caller with several thetas has it already), any den < 2^31
+    in int64, and every other den in object integers.
     """
     num, den = Fraction(theta).as_integer_ratio()
     num %= den
     if den & (den - 1) == 0 and den <= 1 << 64:
-        if values.dtype == object:
-            values = values & ((1 << 64) - 1)
-        red = values.astype(np.uint64) * np.uint64(num) & np.uint64(den - 1)
+        if low64 is None:
+            low64 = _low64(values)
+        red = low64 * np.uint64(num) & np.uint64(den - 1)
     elif den < 1 << 31:
         red = (values % den).astype(np.int64) * num % den
     else:
@@ -391,11 +399,12 @@ def weyl_sum_audit(
     K = 2**k
     b_k = poly.leading
     vals = poly(np.flatnonzero(w_mask(table, N)[1:]) + 1)
+    low64 = _low64(vals)  # reduced once for all thetas
     logU = math.log(U)
     samples = []
     for theta in theta_samples:
         a, q, _ = rational_approx(theta, max(2, N))
-        phases = _phases_mod1(vals, theta)
+        phases = _phases_mod1(vals, theta, low64)
         s = complex(np.sum(np.exp(-2j * np.pi * phases)))
         lhs = abs(s)
         logterm = math.log(max(b_k * q * N, 3.0)) ** (k * k)

@@ -48,7 +48,7 @@ class IncrementConfig:
     C1: float = 10.0
     C2: float = 100.0
     C3: float = 100.0
-    C4: float = 100.0
+    C4: float = 100.0  # accepted from configs; nothing reads it yet
     rho: float = 0.5
     # option-1 stop threshold uses opt1_c * F(X); None falls back to c_h
     opt1_c: Optional[float] = None

@@ -4,19 +4,29 @@ bounds, and forbidden-difference generation from polynomial images.
 Sets live as bitmasks in Python integers (bit n set means n is a member),
 so pairwise-difference checks collapse to shifts and ANDs.
 
-dmax_table is the solver. The clique-cover branch and bound in
-exact_max_avoiding is kept on purpose as its independent cross-check: it
-shares no search code with the table, so the checks that compare the two
+dmax_table is the solver. Its anchored search runs in a C kernel,
+_anchor.c, which it compiles with gcc on first use into a cache directory
+under the system temp directory; without gcc it raises RuntimeError. The
+clique-cover branch and bound in exact_max_avoiding is the kernel's oracle,
+kept on purpose as an independent cross-check: it shares no search code
+with the table, so the checks that compare the two
 (perfbench/make_reference.py, the benchmark's reference checks, and the
 acceptance tests) do not compare the solver with itself.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shutil
 import sys
+import tempfile
 import time
+import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from pathlib import Path
+from collections.abc import Iterable, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +35,7 @@ from .polycore import IntPoly
 from .sieve import SieveTable, w_mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AvoidingSet:
     X: int
     bits: int  # bit n (1-indexed) set iff n is a member
@@ -287,43 +297,96 @@ class TimeBudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _decide_anchor_py(
-    X: int, target: int, D: list[int], fmask: int, deadline: Optional[float] = None
-) -> Optional[int]:
-    """Anchored decision: a size-target avoiding set inside [1, X] containing
-    X, or None. D[1..X-1] must be exact. With a deadline the clock is read
-    every _CLOCK_EVERY nodes, and TimeBudgetExceeded is raised once it has
-    passed; without one the search does no per-node bookkeeping."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * X + 100))
-    found: list[int] = []
+_SOURCE = Path(__file__).with_name("_anchor.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_TICK = ctypes.CFUNCTYPE(ctypes.c_int)
+_kernel = None  # anchor_decide from the compiled _anchor.c, once loaded
 
-    def dfs(n: int, need: int, chosen: int) -> bool:
-        if need == 0:
-            found.append(chosen)
-            return True
-        while n >= 1 and chosen & (fmask << n):
-            n -= 1  # skip positions conflicting with chosen elements
-        if n < need or D[n] < need:
-            return False
-        if step(n - 1, need - 1, chosen | (1 << n)):
-            return True
-        return step(n - 1, need, chosen)
 
-    if deadline is None:
-        step = dfs
-    else:
-        nodes = 0
+def _compiler() -> Optional[str]:
+    return shutil.which("gcc")
 
-        def step(n: int, need: int, chosen: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes % _CLOCK_EVERY == 0 and _clock() > deadline:
-                raise TimeBudgetExceeded(None, f"dmax table stopped at X = {X - 1}")
-            return dfs(n, need, chosen)
 
-    if step(X - 1, target - 1, 1 << X):
-        return found[0]
-    return None
+def _cache_dir() -> Path:
+    return Path(tempfile.gettempdir()) / f"polysieve-{os.getuid()}"
+
+
+def _load_kernel():
+    """anchor_decide from _anchor.c, compiled on first use into the cache
+    directory under a name keyed by the source and the flags. The library is
+    written under a temporary name and renamed into place, so a process
+    never loads a half-written one."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    # zlib's two checksums, not hashlib, whose OpenSSL adds 3 MiB of memory
+    data = _SOURCE.read_bytes() + " ".join(_CFLAGS).encode()
+    key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+    cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise RuntimeError(f"not using {cache} for the search kernel: others can write there")
+    lib = cache / f"anchor-{key}.so"
+    if not lib.exists():
+        import subprocess  # here, so that importing polysieve stays as fast
+
+        cc = _compiler()
+        if cc is None:
+            raise RuntimeError("dmax_table builds its search kernel with gcc, and gcc was not found on PATH")
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(
+                    f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n{proc.stderr}"
+                )
+            os.replace(tmp, lib)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    kernel = ctypes.CDLL(str(lib)).anchor_decide
+    kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 4 + [_TICK, ctypes.c_long]
+    kernel.restype = ctypes.c_int
+    _kernel = kernel
+    return kernel
+
+
+def _conflict_rows(F: Sequence[int], X_max: int, W: int) -> np.ndarray:
+    """Row n, in W words, marks the positions n - f >= 1 for f in F."""
+    rev = 0  # bit X_max - f for each difference f that can occur
+    for f in set(F):
+        if 1 <= f <= X_max - 1:
+            rev |= 1 << (X_max - f)
+    rows = (((rev >> (X_max - n)) & ~1).to_bytes(8 * W, "little") for n in range(X_max + 1))
+    return np.frombuffer(b"".join(rows), dtype="<u8").astype(np.uint64)
+
+
+class DmaxTable(Sequence):
+    """The rows (X, D(F, X), witness) of dmax_table for X = 1..len(table),
+    built on access. D rises by at most 1 from row to row, and a row where it
+    does not rise has the witness of the row before, so the table keeps the
+    D column and one witness per value of D instead of a tuple and an
+    AvoidingSet per row."""
+
+    def __init__(self, D: np.ndarray, witnesses: list[int]):
+        self._D = D  # D[0] = 0, then D(F, X) for each row X
+        self._witnesses = witnesses  # witnesses[d]: bits of the first set found of size d
+
+    def __len__(self) -> int:
+        return len(self._D) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        X = range(1, len(self) + 1)[i]  # negative indices and IndexError as for a list
+        d = int(self._D[X])
+        return X, d, AvoidingSet(X, self._witnesses[d])
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def dmax_table(
@@ -331,35 +394,41 @@ def dmax_table(
     X_max: int,
     cap: int = 2000,
     time_budget: Optional[float] = None,
-) -> list[tuple[int, int, AvoidingSet]]:
+) -> DmaxTable:
     """Monotone table of (X, D(F, X), witness) for X = 1..X_max.
 
     Exploits D(F, X+1) in {D(F, X), D(F, X)+1}: any witness of the larger
     value inside [1, X] must contain X, so each step is one anchored decision
-    search pruned by the already-known smaller entries (Russian-doll search).
-    Refutation steps still grow exponentially on long plateaus; time_budget
-    (seconds) aborts, between or inside steps, with the finished rows
-    attached to the exception.
+    search pruned by the already-known smaller entries (Russian-doll search),
+    run by the compiled kernel. Refutation steps still grow exponentially on
+    long plateaus; time_budget (seconds) aborts, between or inside steps,
+    with the finished rows attached to the exception. Inside a step the
+    kernel asks for the clock every _CLOCK_EVERY nodes, and only under a
+    budget. The kernel's conflict rows and level masks take about X_max^2/4
+    bytes (1 MB at the default cap). Raises RuntimeError when the kernel
+    cannot be built.
     """
     if X_max > cap:
         raise ValueError(f"X_max = {X_max} exceeds the cap {cap}")
+    kernel = _load_kernel()
+    X_max = max(X_max, 0)
     deadline = None if time_budget is None else _clock() + time_budget
-    fmask = _forbidden_mask(F, X_max)  # differences beyond X_max-1 never matter
-    D = [0]
-    out: list[tuple[int, int, AvoidingSet]] = []
+    W = X_max // 64 + 1  # words holding bits 0..X_max
+    rows = _conflict_rows(F, X_max, W)  # differences beyond X_max-1 never matter
+    D = np.zeros(X_max + 1, dtype=np.intc)
+    masks = np.zeros((X_max + 1) * W, dtype=np.uint64)  # one forbidden mask per level
+    found = np.zeros(W, dtype=np.uint64)
+    tick = _TICK() if deadline is None else _TICK(lambda: _clock() > deadline)  # _TICK() is NULL
+    witnesses = [0]
     for X in range(1, X_max + 1):
         if deadline is not None and _clock() > deadline:
-            raise TimeBudgetExceeded(out, f"dmax table stopped at X = {X - 1}")
-        target = D[X - 1] + 1
-        try:
-            bits = _decide_anchor_py(X, target, D, fmask, deadline)
-        except TimeBudgetExceeded as exc:
-            exc.partial = out
-            raise
-        if bits is None:
-            D.append(D[X - 1])
-            bits = out[-1][2].bits  # X = 1 always succeeds, so out is nonempty
-        else:
-            D.append(target)
-        out.append((X, D[X], AvoidingSet(X, bits)))
-    return out
+            raise TimeBudgetExceeded(DmaxTable(D[:X], witnesses), f"dmax table stopped at X = {X - 1}")
+        target = len(witnesses)  # D[X - 1] + 1
+        r = kernel(X, target, W, D.ctypes.data, rows.ctypes.data, masks.ctypes.data, found.ctypes.data,
+                   tick, _CLOCK_EVERY)
+        if r < 0:
+            raise TimeBudgetExceeded(DmaxTable(D[:X], witnesses), f"dmax table stopped at X = {X - 1}")
+        if r > 0:
+            witnesses.append(int.from_bytes(found.astype("<u8").tobytes(), "little"))
+        D[X] = len(witnesses) - 1
+    return DmaxTable(D, witnesses)

@@ -64,6 +64,24 @@ def test_empty_task_list(tmp_path):
     assert summary["failed_required"] == []
 
 
+def _family_size(tmp_path, sub, variant, constants):
+    leveld = {"name": "leveld", "params": {"alpha": 0.2, "trials": 0, "variant": variant}}
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "constants": constants, "tasks": [leveld]})
+    run_experiment(cfg, tmp_path / sub)
+    lines = (tmp_path / sub / "records.jsonl").read_text().splitlines()
+    return json.loads(lines[-1])["result"]["family_size"]
+
+
+def test_leveld_family_reads_config_constants(tmp_path):
+    # alpha = 0.2: variant 1 takes 2 * 3 as its distinguished member and
+    # reaches C1 * 125 (C1 = 10: the primes 5..1250); variant 2 reaches
+    # max(C2, C3 log(5)^4). Tiny constants leave the family {1}.
+    assert _family_size(tmp_path, "v1", 1, {}) == 203
+    assert _family_size(tmp_path, "v1_small", 1, {"C1": 1e-6}) == 1
+    assert _family_size(tmp_path, "v2", 2, {}) == 1
+    assert _family_size(tmp_path, "v2_wide", 2, {"C2": 1000.0, "C3": 1e-6}) == 169
+
+
 def test_determinism_result_fields(tmp_path):
     cfg_raw = {
         "polynomial": [0, 0, 1],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def test_dmax_monotone_unit_steps():
     assert all(ds[i] <= ds[i + 1] <= ds[i] + 1 for i in range(len(ds) - 1))
 
 
+def test_dmax_table_rows_behave_as_a_list():
+    table = dmax_table(SQ, 30)
+    rows = list(table)
+    assert len(table) == 30 and table[-1] == rows[29] and table[5:8] == rows[5:8]
+    assert table == rows and rows == table and table == dmax_table(SQ, 30)
+    assert table != rows[:29]
+    with pytest.raises(IndexError):
+        table[30]
+    for (_, d0, w0), (_, d1, w1) in zip(rows, rows[1:]):
+        if d1 == d0:
+            assert w1.bits is w0.bits  # a refuted row shares the witness before it
+
+
 def test_time_budget_stops_inside_a_step(monkeypatch):
     def no_clock():
         raise AssertionError("clock read without a time budget")
@@ -141,6 +155,127 @@ def test_time_budget_stops_inside_a_step(monkeypatch):
     assert len(partial) < X_max
     assert [d for _, d, _ in partial] == full[: len(partial)]
     assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
+
+
+def test_kernel_unwinds_at_its_first_late_clock_reading(monkeypatch):
+    # the clock reads late only when the kernel asks, so the table can only
+    # stop inside a step, and must stop at the first reading
+    real = search._load_kernel()
+    inside, late = [False], []
+
+    def kernel(*args):
+        inside[0] = True
+        try:
+            return real(*args)
+        finally:
+            inside[0] = False
+
+    def clock():
+        if inside[0]:
+            late.append(True)
+            return 1.0
+        return 0.0
+
+    full = [d for _, d, _ in dmax_table(SQ, 60)]
+    monkeypatch.setattr(search, "_kernel", kernel)
+    monkeypatch.setattr(search, "_clock", clock)
+    with pytest.raises(TimeBudgetExceeded) as exc:
+        dmax_table(SQ, 60, time_budget=0.5)
+    partial = exc.value.partial
+    assert late == [True] and len(partial) < 60
+    assert [d for _, d, _ in partial] == full[: len(partial)]
+    assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
+
+
+def _decide_anchor_py(X, target, D, fmask):
+    """The pure-Python anchored search the kernel replaced: reference only."""
+    found = []
+
+    def dfs(n, need, chosen):
+        if need == 0:
+            found.append(chosen)
+            return True
+        while n >= 1 and chosen & (fmask << n):
+            n -= 1
+        if n < need or D[n] < need:
+            return False
+        return dfs(n - 1, need - 1, chosen | (1 << n)) or dfs(n - 1, need, chosen)
+
+    return found[0] if dfs(X - 1, target - 1, 1 << X) else None
+
+
+def _reference_table(F, X_max):
+    fmask = search._forbidden_mask(F, X_max)
+    D, rows = [0], []
+    for X in range(1, X_max + 1):
+        bits = _decide_anchor_py(X, D[-1] + 1, D, fmask)
+        D.append(D[-1] + (bits is not None))
+        rows.append((X, D[X], rows[-1][2] if bits is None else bits))
+    return rows
+
+
+def _kernel_table(F, X_max):
+    return [(X, d, w.bits) for X, d, w in dmax_table(F, X_max)]
+
+
+# differences up to 12 only: a family of a few large differences has a dense
+# maximum set and refutation steps that take the Python search minutes
+@given(st.integers(1, 80), st.sets(st.integers(1, 12), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_python_search(X_max, F):
+    assert _kernel_table(sorted(F), X_max) == _reference_table(sorted(F), X_max)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_kernel_matches_python_search_on_quadratics(shift):
+    F = [n * n - shift for n in range(1, 12) if n * n - shift >= 1]
+    assert _kernel_table(F, 100) == _reference_table(F, 100)
+
+
+def test_missing_compiler_is_a_clear_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: tmp_path / "kernels")
+    monkeypatch.setattr(search, "_compiler", lambda: None)
+    with pytest.raises(RuntimeError, match="gcc was not found"):
+        dmax_table(SQ, 10)
+
+
+def test_failed_compile_carries_stderr(monkeypatch, tmp_path):
+    cc = tmp_path / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: no such flag' >&2\nexit 3\n")
+    cc.chmod(0o755)
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: tmp_path / "kernels")
+    monkeypatch.setattr(search, "_compiler", lambda: str(cc))
+    with pytest.raises(RuntimeError, match="exit 3") as exc:
+        dmax_table(SQ, 10)
+    assert "cc: no such flag" in str(exc.value)
+    assert list((tmp_path / "kernels").iterdir()) == []  # no half-written library left
+
+
+def test_cache_others_can_write_is_refused(monkeypatch, tmp_path):
+    cache = tmp_path / "kernels"
+    cache.mkdir()
+    cache.chmod(0o777)
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: cache)
+    with pytest.raises(RuntimeError, match="others can write there"):
+        dmax_table(SQ, 10)
+    assert list(cache.iterdir()) == []
+
+
+def test_warm_cache_loads_without_compiler(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: tmp_path / "kernels")
+    want = _kernel_table(SQ, 30)
+    assert [p.suffix for p in (tmp_path / "kernels").iterdir()] == [".so"]
+
+    def no_compiler():
+        raise AssertionError("compiler looked up with a warm cache")
+
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_compiler", no_compiler)
+    assert _kernel_table(SQ, 30) == want
 
 
 def test_greedy_always_verifies():
@@ -176,3 +311,10 @@ def test_bitset_roundtrip_and_alpha():
     assert 5 in A and 4 not in A
     with pytest.raises(ValueError):
         AvoidingSet.from_members(10, [11])
+
+
+def test_avoiding_set_pickle_eq_hash():
+    A = AvoidingSet.from_members(70, [2, 5, 64, 70])
+    B = pickle.loads(pickle.dumps(A))
+    assert B == A and hash(B) == hash(A) and B.members() == [2, 5, 64, 70]
+    assert A != AvoidingSet.from_members(70, [2, 5]) and not hasattr(A, "__dict__")
