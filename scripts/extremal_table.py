@@ -2,9 +2,10 @@
 """Exact D(F, X) table for square differences with a wallclock budget.
 
 Prints CSV rows X,D,witness; stops cleanly when the budget runs out. On a
-2-core Xeon the compiled search reaches X = 172 in about 0.3 s and
-X = 185-186 in 120 s; past X ~ 176 each refutation step on the D = 39
-plateau costs about 1.5-2.4 times the one before.
+2-core Xeon the compiled search reaches X = 172 in about 0.07 s, X = 180 in
+0.6 s, X = 185 in 9-10 s and X = 193-194 in 120 s; past X ~ 175 each
+refutation step on the D = 39 plateau costs about 1.8 times the one before
+on average, with wide swings from step to step.
 
 Usage: python scripts/extremal_table.py [x_max] [budget_seconds]
 """

@@ -24,6 +24,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 from typing import Optional
@@ -186,14 +187,20 @@ def exhaustive_max_table(F: Sequence[int], X: int) -> list[int]:
 
     Dynamic programming over the subset lattice: a subset is independent iff
     its top element does not conflict with the rest and the rest is
-    independent. Memory-bound at X <= 24.
+    independent. Memory-bound at X <= 24. The table depends only on the
+    differences in [1, X-1] and is memoized on them; each call returns a
+    fresh list.
     """
     if X > 24:
         raise ValueError("exhaustive oracle capped at X = 24")
+    return list(_exhaustive_max_table(frozenset(f for f in F if 1 <= f <= X - 1), X))
+
+
+@lru_cache(maxsize=64)
+def _exhaustive_max_table(fset: frozenset[int], X: int) -> tuple[int, ...]:
     if X == 0:
-        return [0]
+        return (0,)
     conflict = []  # conflict[i] = mask over positions 0..i-1 clashing with i
-    fset = {f for f in F if f >= 1}
     for i in range(X):
         m = 0
         for j in range(i):
@@ -217,7 +224,7 @@ def exhaustive_max_table(F: Sequence[int], X: int) -> list[int]:
         if block.size:
             best = max(best, int(block.max()))
         out.append(best)
-    return out
+    return tuple(out)
 
 
 def exact_max_avoiding(
@@ -313,9 +320,8 @@ def _cache_dir() -> Path:
 
 def _load_kernel():
     """anchor_decide from _anchor.c, compiled on first use into the cache
-    directory under a name keyed by the source and the flags. The library is
-    written under a temporary name and renamed into place, so a process
-    never loads a half-written one."""
+    directory under a name keyed by the source and the flags. A library
+    that is missing or fails to load is built again."""
     global _kernel
     if _kernel is not None:
         return _kernel
@@ -328,28 +334,41 @@ def _load_kernel():
     if info.st_uid != os.getuid() or info.st_mode & 0o022:
         raise RuntimeError(f"not using {cache} for the search kernel: others can write there")
     lib = cache / f"anchor-{key}.so"
-    if not lib.exists():
-        import subprocess  # here, so that importing polysieve stays as fast
-
-        cc = _compiler()
-        if cc is None:
-            raise RuntimeError("dmax_table builds its search kernel with gcc, and gcc was not found on PATH")
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
-        os.close(fd)
-        try:
-            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise RuntimeError(
-                    f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n{proc.stderr}"
-                )
-            os.replace(tmp, lib)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-    kernel = ctypes.CDLL(str(lib)).anchor_decide
+    try:
+        dll = ctypes.CDLL(str(lib))
+    except OSError:  # not built yet, or removed by another version's build
+        dll = _build_kernel(lib)
+    kernel = dll.anchor_decide
     kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 4 + [_TICK, ctypes.c_long]
     kernel.restype = ctypes.c_int
     _kernel = kernel
     return kernel
+
+
+def _build_kernel(lib: Path) -> ctypes.CDLL:
+    """Compile _anchor.c under a temporary name, load it, rename it to lib,
+    and remove the libraries of every other version from lib's directory.
+    A process never loads a half-written library, and loading before the
+    rename means another version's clean-up cannot remove this one first."""
+    import subprocess  # here, so that importing polysieve stays as fast
+
+    cc = _compiler()
+    if cc is None:
+        raise RuntimeError("dmax_table builds its search kernel with gcc, and gcc was not found on PATH")
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n{proc.stderr}")
+        dll = ctypes.CDLL(tmp)
+        os.replace(tmp, lib)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    for old in lib.parent.glob("anchor-*.so"):
+        if old != lib:
+            old.unlink(missing_ok=True)
+    return dll
 
 
 def _conflict_rows(F: Sequence[int], X_max: int, W: int) -> np.ndarray:
@@ -365,23 +384,42 @@ def _conflict_rows(F: Sequence[int], X_max: int, W: int) -> np.ndarray:
 class DmaxTable(Sequence):
     """The rows (X, D(F, X), witness) of dmax_table for X = 1..len(table),
     built on access. D rises by at most 1 from row to row, and a row where it
-    does not rise has the witness of the row before, so the table keeps the
-    D column and one witness per value of D instead of a tuple and an
-    AvoidingSet per row."""
+    does not rise has the witness of the row before, so the table keeps one
+    bit per row (does D rise here?) and one witness per value of D, packed
+    into one buffer of equal-width little-endian words, instead of a tuple
+    and an AvoidingSet per row."""
 
-    def __init__(self, D: np.ndarray, witnesses: list[int]):
-        self._D = D  # D[0] = 0, then D(F, X) for each row X
-        self._witnesses = witnesses  # witnesses[d]: bits of the first set found of size d
+    __slots__ = ("_len", "_rises", "_witnesses", "_width")
+
+    def __init__(self, D: np.ndarray, witnesses: bytes):
+        # D[0] = 0, then D(F, X) for each row X; witnesses holds the bits of
+        # the first set found of each size d = 0..D[-1], one after another
+        self._len = len(D) - 1
+        rises = np.diff(D, prepend=0).astype(bool)  # entry X: D[X] = D[X - 1] + 1
+        self._rises = int.from_bytes(np.packbits(rises, bitorder="little").tobytes(), "little")
+        self._witnesses = witnesses
+        self._width = len(witnesses) // (self._rises.bit_count() + 1)
+
+    def _witness(self, d: int) -> int:
+        return int.from_bytes(self._witnesses[d * self._width : (d + 1) * self._width], "little")
 
     def __len__(self) -> int:
-        return len(self._D) - 1
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         X = range(1, len(self) + 1)[i]  # negative indices and IndexError as for a list
-        d = int(self._D[X])
-        return X, d, AvoidingSet(X, self._witnesses[d])
+        d = (self._rises & ((2 << X) - 1)).bit_count()
+        return X, d, AvoidingSet(X, self._witness(d))
+
+    def __iter__(self):
+        d, bits = 0, 0
+        for X in range(1, len(self) + 1):
+            if self._rises >> X & 1:
+                d += 1
+                bits = self._witness(d)
+            yield X, d, AvoidingSet(X, bits)  # refuted rows share the witness before them
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -398,9 +436,14 @@ def dmax_table(
     """Monotone table of (X, D(F, X), witness) for X = 1..X_max.
 
     Exploits D(F, X+1) in {D(F, X), D(F, X)+1}: any witness of the larger
-    value inside [1, X] must contain X, so each step is one anchored decision
-    search pruned by the already-known smaller entries (Russian-doll search),
-    run by the compiled kernel. Refutation steps still grow exponentially on
+    value inside [1, X+1] must contain X+1, and also 1, or shifting it down
+    by one would fit it in [1, X]. So each step is one decision search
+    anchored at both ends, run by the compiled kernel: it is refuted at once
+    when X is a difference, and otherwise pruned by the already-known
+    smaller entries (Russian-doll search) and by the number of free
+    positions left. The cuts keep every branch that holds a witness, so the
+    first witness found is the one the search anchored at X+1 alone finds.
+    Refutation steps still grow exponentially on
     long plateaus; time_budget (seconds) aborts, between or inside steps,
     with the finished rows attached to the exception. Inside a step the
     kernel asks for the clock every _CLOCK_EVERY nodes, and only under a
@@ -419,16 +462,16 @@ def dmax_table(
     masks = np.zeros((X_max + 1) * W, dtype=np.uint64)  # one forbidden mask per level
     found = np.zeros(W, dtype=np.uint64)
     tick = _TICK() if deadline is None else _TICK(lambda: _clock() > deadline)  # _TICK() is NULL
-    witnesses = [0]
+    witnesses = bytearray(8 * W)  # the empty set, of size 0
     for X in range(1, X_max + 1):
         if deadline is not None and _clock() > deadline:
-            raise TimeBudgetExceeded(DmaxTable(D[:X], witnesses), f"dmax table stopped at X = {X - 1}")
-        target = len(witnesses)  # D[X - 1] + 1
+            raise TimeBudgetExceeded(DmaxTable(D[:X], bytes(witnesses)), f"dmax table stopped at X = {X - 1}")
+        target = int(D[X - 1]) + 1
         r = kernel(X, target, W, D.ctypes.data, rows.ctypes.data, masks.ctypes.data, found.ctypes.data,
                    tick, _CLOCK_EVERY)
         if r < 0:
-            raise TimeBudgetExceeded(DmaxTable(D[:X], witnesses), f"dmax table stopped at X = {X - 1}")
+            raise TimeBudgetExceeded(DmaxTable(D[:X], bytes(witnesses)), f"dmax table stopped at X = {X - 1}")
         if r > 0:
-            witnesses.append(int.from_bytes(found.astype("<u8").tobytes(), "little"))
-        D[X] = len(witnesses) - 1
-    return DmaxTable(D, witnesses)
+            witnesses += found.astype("<u8").tobytes()
+        D[X] = D[X - 1] + (r > 0)
+    return DmaxTable(D, bytes(witnesses))

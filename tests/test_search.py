@@ -1,6 +1,8 @@
 import itertools
 import math
 import pickle
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -118,6 +120,18 @@ def test_dmax_table_matches_oracle(name):
         assert ok and w.size == d and w.X == X
 
 
+def test_exhaustive_table_depends_only_on_the_differences_in_range():
+    want = exhaustive_max_table([1, 4, 9, 16], 20)
+    assert exhaustive_max_table([16, 9, 4, 1], 20) == want
+    assert exhaustive_max_table((9, 1, 4, 4, 16, 1), 20) == want
+    assert exhaustive_max_table([0, -3, 1, 4, 9, 16, 20, 25, 400], 20) == want
+    expected = want.copy()
+    want[1] = -1  # the caller owns the list it was given
+    want.append(99)
+    assert exhaustive_max_table([1, 4, 9, 16], 20) == expected
+    assert exhaustive_max_table([], 0) == [0] and exhaustive_max_table([1], 1) == [0, 1]
+
+
 def test_dmax_monotone_unit_steps():
     table = dmax_table(SQ, 120)
     ds = [d for _, d, _ in table]
@@ -135,6 +149,34 @@ def test_dmax_table_rows_behave_as_a_list():
     for (_, d0, w0), (_, d1, w1) in zip(rows, rows[1:]):
         if d1 == d0:
             assert w1.bits is w0.bits  # a refuted row shares the witness before it
+
+
+def test_dmax_table_is_compact():
+    table = dmax_table(SQ, 130)
+    assert not hasattr(table, "__dict__")
+    # one bit per row, and one witness of three words per value of D
+    assert table._rises.bit_length() <= 131 and len(table._witnesses) == 24 * (table[-1][1] + 1)
+
+
+def _table_digest(F, X_max):
+    rows = b"".join(f"{X} {d} {w.bits:x}\n".encode() for X, d, w in dmax_table(F, X_max))
+    return zlib.crc32(rows)
+
+
+def test_plateau_tables_are_pinned():
+    # the D column and every witness, as the search anchored at X alone found them
+    assert _table_digest(squares_upto(172), 172) == 3317257726
+    assert _table_digest([n * n - 1 for n in range(2, 11)], 106) == 1850201570
+
+
+@given(st.integers(1, 90), st.sets(st.integers(1, 30), max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_every_rise_has_a_witness_holding_both_ends(X_max, F):
+    d_before = 0
+    for X, d, w in dmax_table(sorted(F), X_max):
+        if d > d_before:
+            assert 1 in w and X in w and w.size == d and verify_avoiding(w, sorted(F))[0]
+        d_before = d
 
 
 def test_time_budget_stops_inside_a_step(monkeypatch):
@@ -276,6 +318,34 @@ def test_warm_cache_loads_without_compiler(monkeypatch, tmp_path):
     monkeypatch.setattr(search, "_kernel", None)
     monkeypatch.setattr(search, "_compiler", no_compiler)
     assert _kernel_table(SQ, 30) == want
+
+
+def test_build_removes_other_versions(monkeypatch, tmp_path):
+    cache = tmp_path / "kernels"
+    cache.mkdir(mode=0o700)
+    (cache / "anchor-0123456789abcdef.so").write_bytes(b"a library of another version")
+    (cache / "notes.txt").write_text("not a library")
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: cache)
+    assert _kernel_table(SQ, 30) == _reference_table(SQ, 30)
+    names = sorted(p.name for p in cache.iterdir())
+    assert len(names) == 2 and names[0].startswith("anchor-") and names[0].endswith(".so")
+    assert names[0] != "anchor-0123456789abcdef.so" and names[1] == "notes.txt"
+
+
+def test_unloadable_library_is_built_once(monkeypatch, tmp_path):
+    cache = tmp_path / "kernels"
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_cache_dir", lambda: cache)
+    want = _kernel_table(SQ, 30)
+    [lib] = cache.iterdir()
+    lib.unlink()
+    lib.write_bytes(b"not a library")  # a new file, not the one this process loaded
+    builds = []
+    monkeypatch.setattr(search, "_kernel", None)
+    monkeypatch.setattr(search, "_compiler", lambda: builds.append("gcc") or shutil.which("gcc"))
+    assert _kernel_table(SQ, 30) == want and builds == ["gcc"]
+    assert [p.name for p in cache.iterdir()] == [lib.name] and lib.read_bytes() != b"not a library"
 
 
 def test_greedy_always_verifies():
