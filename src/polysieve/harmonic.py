@@ -279,11 +279,25 @@ def fourier_point(source: Source, theta) -> complex:
 def _fold_fft(positions: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
     """f^(a/q) for a = 0..q-1, for f = weights at positions: sum the weights
     into their residues mod q, then take one FFT. Real weights fold in a real
-    float64 array, so a large grid gets no complex copy; the FFT of a real
-    array equals that of its complex copy bit for bit."""
+    float64 array and take a real FFT, whose upper half is the conjugate
+    mirror of its lower half, so a large grid gets no complex copy of the
+    fold; it agrees with the complex FFT of the fold to rounding."""
     c = np.zeros(q, dtype=np.promote_types(weights.dtype, np.float64))
     np.add.at(c, positions % q, weights)
-    return np.fft.fft(c)
+    if np.iscomplexobj(c):
+        return np.fft.fft(c)
+    half = np.fft.rfft(c)
+    del c  # freed before the output is allocated
+    m = half.size  # q // 2 + 1
+    out = np.empty(q, dtype=half.dtype)
+    out[:m] = half
+    np.conjugate(half[q - m : 0 : -1], out=out[m:])  # out[j] = conj(out[q - j])
+    return out
+
+
+def _units_mod(q: int) -> np.ndarray:
+    """The residues a in [0, q) with gcd(a, q) = 1, ascending."""
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
 
 
 @dataclass
@@ -337,8 +351,12 @@ def gauss_sum_sweep(
     all_a: bool = True,
     table: Optional[SieveTable] = None,
 ) -> list[tuple[int, int, float]]:
-    """(q, a, |sum|) over q <= q_max, vectorized per modulus; matches
-    gauss_sum_sieved at every point."""
+    """(q, a, |sum|) over q <= q_max, for every reduced a mod q (only a = 1
+    unless all_a; a = 0 for q = 1); matches gauss_sum_sieved at every point.
+
+    Per modulus, c(t) counts the kept residues s with h(s) = t mod q; c is
+    real, so |sum_s e(h(s) a / q)| = |fft(c)[a]| = |fft(c)[q - a]|, and one
+    real FFT gives every a."""
     if table is None:
         table = SieveTable.build(aux, U)
     poly = aux.aux
@@ -346,16 +364,14 @@ def gauss_sum_sweep(
     for q in range(1, q_max + 1):
         # w_mask indexes 1..q; rolling moves residue 0 from index q to the front
         keep = np.roll(w_mask(table, q, q)[1:], 1)
-        hmod = poly.eval_mod(np.arange(q), q)[keep]
-        roots_of_unity = np.exp(2j * np.pi * np.arange(q) / q)
-        a_values = (
-            [a for a in range(1, q + 1) if math.gcd(a, q) == 1] if all_a else [1]
-        )
+        counts = np.bincount(poly.eval_mod(np.arange(q), q)[keep], minlength=q)
+        mags = np.abs(np.fft.rfft(counts))
         if q == 1:
-            a_values = [0]
-        for a in a_values:
-            tot = roots_of_unity[(hmod * a) % q].sum() if hmod.size else 0j
-            out.append((q, a % q if q > 1 else 0, float(abs(tot))))
+            a_values = np.array([0])
+        else:
+            a_values = _units_mod(q) if all_a else np.array([1])
+        rows = mags[np.minimum(a_values, q - a_values)]
+        out.extend(zip([q] * a_values.size, a_values.tolist(), rows.tolist()))
     return out
 
 
@@ -716,10 +732,7 @@ def initial_mass(A: AvoidingSet, xi: float, params: ArcParams) -> float:
     qmax = int(params.Qmax)
     for q in range(2, qmax + 1):
         hat = _fold_fft(ns, shift, q)  # index a gives sum e(-n a / q) e(-n xi)
-        amask = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
-        if amask.size == 0:
-            continue
         total += q ** (-1.0 / (2.0 + params.epsilon)) * float(
-            np.sum(np.abs(hat[amask]) ** 2)
+            np.sum(np.abs(hat[_units_mod(q)]) ** 2)
         )
     return total

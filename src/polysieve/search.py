@@ -213,9 +213,12 @@ def _exhaustive_max_table(fset: frozenset[int], X: int) -> tuple[int, ...]:
     pop = np.zeros(total, dtype=np.int8)
     for b in range(X):
         size = 1 << b
-        rest = np.arange(size, dtype=np.int64)
-        ind[size : 2 * size] = ind[:size] & ((rest & conflict[b]) == 0)
-        pop[size : 2 * size] = pop[:size] + 1
+        top = ind[size : 2 * size]  # subsets whose top element is b
+        top[:] = ind[:size]
+        for j in range(b):
+            if conflict[b] >> j & 1:
+                top.reshape(-1, 2, 1 << j)[:, 1, :] = False  # the rests holding j
+        np.add(pop[:size], 1, out=pop[size : 2 * size])
     out = [0]
     best = 0
     for xprime in range(1, X + 1):

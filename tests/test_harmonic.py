@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from polysieve.harmonic import (
     ArcParams,
     HarmonicParams,
+    _fold_fft,
     _phases_mod1,
     classify_arc,
     fourier_grid,
     fourier_point,
     g_build,
     gauss_sum_sieved,
+    gauss_sum_sweep,
     initial_mass,
     major_arc_mask,
     major_arc_predict,
@@ -169,6 +171,24 @@ def test_conjugate_symmetry():
         assert spec.values[-j] == pytest.approx(spec.values[j].conjugate())
 
 
+@given(st.integers(1, 300), st.integers(0, 60), st.integers(0, 2**32 - 1))
+@example(1, 7, 0)
+@example(2, 7, 0)
+@settings(max_examples=150, deadline=None)
+def test_real_fold_matches_complex_fft(q, size, seed):
+    # real weights take the real FFT and mirror it; the reference is the
+    # complex FFT of the same fold
+    rng = np.random.default_rng(seed)
+    positions = rng.integers(-10**6, 10**6, size)
+    weights = rng.standard_normal(size)
+    folded = np.zeros(q, dtype=complex)
+    np.add.at(folded, positions % q, weights)
+    got = _fold_fft(positions, weights, q)
+    assert got.shape == (q,) and got.dtype == np.complex128
+    err = np.abs(got - np.fft.fft(folded)).max()
+    assert err <= 1e-12 * np.abs(weights).sum()
+
+
 def test_subgroup_parseval():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -208,8 +228,6 @@ def test_gauss_examples(x2ctx):
 
 
 def test_gauss_sweep_matches_pointwise(x2ctx, fixtures):
-    from polysieve.harmonic import gauss_sum_sweep
-
     # the sextic's auxiliary polynomial at ell = 2^13 has 63- to 69-bit
     # coefficients, past int64
     sextic = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
@@ -219,6 +237,34 @@ def test_gauss_sweep_matches_pointwise(x2ctx, fixtures):
         for q, a, mag in gauss_sum_sweep(ctx, q_max, U, all_a=True, table=table):
             direct = abs(gauss_sum_sieved(ctx, a if q > 1 else 1, q, U, table))
             assert mag == pytest.approx(direct, abs=1e-9)
+
+
+def _gauss_sum_sweep_py(aux, q_max, U, all_a, table):
+    """The per-(q, a) loop the FFT sweep replaced: reference only."""
+    out = []
+    for q in range(1, q_max + 1):
+        keep = np.roll(w_mask(table, q, q)[1:], 1)
+        hmod = aux.aux.eval_mod(np.arange(q), q)[keep]
+        roots_of_unity = np.exp(2j * np.pi * np.arange(q) / q)
+        a_values = [a for a in range(1, q + 1) if math.gcd(a, q) == 1] if all_a else [1]
+        if q == 1:
+            a_values = [0]
+        for a in a_values:
+            tot = roots_of_unity[(hmod * a) % q].sum() if hmod.size else 0j
+            out.append((q, a % q if q > 1 else 0, float(abs(tot))))
+    return out
+
+
+@pytest.mark.parametrize("all_a", [True, False])
+def test_gauss_sweep_matches_the_loop(x2ctx, fixtures, all_a):
+    sextic = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    for ctx, q_max, U in ((x2ctx, 300, 50), (sextic, 80, 60)):
+        table = SieveTable.build(ctx, U)
+        got = gauss_sum_sweep(ctx, q_max, U, all_a, table)
+        want = _gauss_sum_sweep_py(ctx, q_max, U, all_a, table)
+        assert got[0] == want[0] and got[0][:2] == (1, 0)
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        assert all(abs(g - w) <= 1e-12 * q for (q, _, g), (_, _, w) in zip(got, want))
 
 
 def test_gauss_odd_prime_magnitudes(x2ctx):
@@ -487,6 +533,34 @@ def test_initial_mass_examples():
     pf = ArcParams.make(1.0, 1.0, 10.0, 300)
     mass = initial_mass(full, 0.0, pf)
     assert mass < 300**2 / 8  # far below the alpha^2 X^2 scale
+
+
+def _initial_mass_py(A, xi, params):
+    """initial_mass with its reduced residues from a gcd list: reference only."""
+    ns = A.member_array()
+    shift = np.exp(-2j * np.pi * np.mod(ns * float(xi), 1.0))
+    total = 0.0
+    for q in range(2, int(params.Qmax) + 1):
+        folded = np.zeros(q, dtype=complex)
+        np.add.at(folded, ns % q, shift)
+        hat = np.fft.fft(folded)
+        amask = np.array([a for a in range(1, q) if math.gcd(a, q) == 1])
+        total += q ** (-1.0 / (2.0 + params.epsilon)) * float(np.sum(np.abs(hat[amask]) ** 2))
+    return total
+
+
+def test_initial_mass_matches_the_gcd_list():
+    # the mass set of the spectral_audit benchmark at seed 1, where the sum
+    # was 0x1.c59fdc7471194p+23 with the residues from a gcd list
+    rng = np.random.default_rng([1, 2])
+    rng.random(20)
+    A = AvoidingSet.from_members(10**4, (np.nonzero(rng.random(10**4) < 0.3)[0] + 1).tolist())
+    params = ArcParams.make(A.alpha, 1.0, 10.0, A.X)
+    total = initial_mass(A, 0.0, params)
+    assert total == _initial_mass_py(A, 0.0, params)
+    assert total == pytest.approx(float.fromhex("0x1.c59fdc7471194p+23"), rel=1e-12)
+    xi = params.tau / 3
+    assert initial_mass(A, xi, params) == _initial_mass_py(A, xi, params)
 
 
 def test_initial_mass_xi_guard():

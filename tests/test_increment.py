@@ -127,6 +127,51 @@ def test_mass_scan_matches_pointwise_fourier():
         assert eta * (A.alpha * X) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
+def _mass_scan_py(A, cfg, tau):
+    """The per-(xi, q) fold-and-FFT scan the autocorrelation replaced:
+    reference only."""
+    X = A.X
+    alpha = A.alpha
+    ns = np.arange(1, X + 1)
+    weights = np.where(np.isin(ns, A.member_array()), 1.0 - alpha, -alpha)
+    xis = np.linspace(-tau, tau, cfg.xi_points) if cfg.xi_points > 1 else np.array([0.0])
+    denom = alpha * alpha * X * X
+    noise = alpha * (1.0 - alpha) * X
+    scored = []
+    for xi_idx, xi in enumerate(xis):
+        v = weights * np.exp(-2j * np.pi * np.mod(ns * xi, 1.0))
+        for q in range(2, cfg.q_cap + 1):
+            folded = np.zeros(q, dtype=complex)
+            np.add.at(folded, ns % q, v)
+            mass = float(np.sum(np.abs(np.fft.fft(folded)) ** 2))
+            snr = mass / (q * noise) if noise > 0 else mass
+            scored.append((-snr, q, xi_idx, float(xi), mass / denom))
+    scored.sort()
+    return [(q, xi, eta) for _, q, _, xi, eta in scored]
+
+
+@pytest.mark.parametrize(
+    "X, density, seed, q_cap, xi_points",
+    [(3000, 0.1, 1, 64, 33), (5000, 0.3, 2, 40, 9), (700, 0.5, 3, 64, 1), (40, 0.2, 4, 64, 33)],
+)
+def test_mass_scan_matches_the_fold_loop(X, density, seed, q_cap, xi_points):
+    rng = np.random.default_rng(seed)
+    A = AvoidingSet.from_members(X, (np.flatnonzero(rng.random(X) < density) + 1).tolist())
+    cfg = IncrementConfig(q_cap=q_cap, xi_points=xi_points)
+    tau = cfg.C1 * math.log(1.0 / A.alpha) ** 2 / X
+    got = _mass_scan(A, cfg, tau)
+    want = _mass_scan_py(A, cfg, tau)
+    old_eta = {(q, xi): eta for q, xi, eta in want}
+    assert len(got) == len(want) and {(q, xi) for q, xi, _ in got} == set(old_eta)
+    for q, xi, eta in got:
+        assert eta == pytest.approx(old_eta[q, xi], rel=1e-11)
+    # the ranking may differ only between candidates whose scores (eta / q,
+    # up to a constant) agree to 1e-11; mass(q, xi) = mass(q, -xi) makes such
+    # ties real
+    for (q, xi, _), (q_old, _, eta_old) in zip(got, want):
+        assert old_eta[q, xi] / q == pytest.approx(eta_old / q_old, rel=1e-11)
+
+
 def test_increment_step_opt1_fires_for_sparse():
     h = IntPoly((0, 0, 1))
     ctx = AuxiliaryBuilder(h).context(1)

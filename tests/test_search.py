@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import pickle
 import shutil
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +136,23 @@ def test_exhaustive_table_depends_only_on_the_differences_in_range():
     assert exhaustive_max_table([], 0) == [0] and exhaustive_max_table([1], 1) == [0, 1]
 
 
+def test_exhaustive_table_memory():
+    # at X = 24 the DP keeps 16 MiB independence and size tables; a level
+    # mask of int64 indices would add 128 MiB of temporaries on the last level
+    code = (
+        "import resource\n"
+        "from polysieve.search import exhaustive_max_table\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "exhaustive_max_table([n * n for n in range(1, 5)], 24)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024  # ru_maxrss counts KiB on Linux
+
+
 def test_dmax_monotone_unit_steps():
     table = dmax_table(SQ, 120)
     ds = [d for _, d, _ in table]
@@ -188,7 +209,9 @@ def test_time_budget_stops_inside_a_step(monkeypatch):
     full = [d for _, d, _ in dmax_table(SQ, X_max)]
     # A clock that advances one second per reading. The readings taken
     # between steps alone stay inside the budget, so the table can only stop
-    # early if the anchored search itself reads the clock.
+    # early if the anchored search itself reads the clock; reading it every
+    # 64 nodes keeps that true of a kernel that cuts more nodes.
+    monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
     readings = itertools.count()
     monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
     with pytest.raises(TimeBudgetExceeded) as exc:
@@ -219,6 +242,7 @@ def test_kernel_unwinds_at_its_first_late_clock_reading(monkeypatch):
         return 0.0
 
     full = [d for _, d, _ in dmax_table(SQ, 60)]
+    monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
     monkeypatch.setattr(search, "_kernel", kernel)
     monkeypatch.setattr(search, "_clock", clock)
     with pytest.raises(TimeBudgetExceeded) as exc:
