@@ -184,8 +184,7 @@ class RunContext:
             return search.AvoidingSet.from_members(X, [int(v) for v in spec["members"]])
         if kind == "random":
             density = float(spec.get("density", 0.1))
-            mask = self.rng.random(X) < density
-            return search.AvoidingSet.from_members(X, (np.nonzero(mask)[0] + 1).tolist())
+            return search.AvoidingSet.from_indicator(np.append(False, self.rng.random(X) < density))
         raise ConfigError(f"unknown set kind {kind!r}")
 
 

@@ -36,7 +36,6 @@ class SmoothWeight:
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
         out = np.interp(xs, np.linspace(0.0, 1.0, len(self.grid)), self.grid, left=0.0, right=0.0)
-        out = np.where((xs < 0) | (xs > 1), 0.0, out)
         if np.isscalar(x) or xs.ndim == 0:
             return float(out)
         return out
@@ -447,7 +446,6 @@ def rational_approx(theta, Qmax: int) -> tuple[int, int, float]:
     floor = math.floor(fr)
     x = fr - floor
     # convergents of the fractional part
-    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1  # p/q for [] and [0]
     num, den = x.numerator, x.denominator
     a_list = []
     while den:

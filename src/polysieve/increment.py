@@ -124,8 +124,7 @@ def extract_increment(
     target = math.ceil(raw)
     alpha = A.alpha
     need = (1.0 + eta / 20.0) * alpha
-    member_mask = np.zeros(X + 1, dtype=bool)
-    member_mask[A.member_array()] = True
+    member_mask = A.indicator()
     best: Optional[Progression] = None
     best_density = -1.0
     for b in range(1, lambda_q + 1):
@@ -295,12 +294,9 @@ def increment_step(
             diagnostics={"q": q, "xi": xi, "eta": eta, "met": res.met_threshold},
         )
     option = "opt2" if envelopes["opt2"] else ("opt3" if envelopes["opt3"] else "star")
-    members = [
-        i + 1
-        for i, n in enumerate(range(prog.start, prog.last + 1, prog.step))
-        if n in A
-    ]
-    rescaled = AvoidingSet.from_members(prog.length, members)
+    rescaled = AvoidingSet.from_indicator(
+        np.append(False, A.indicator()[prog.start : prog.last + 1 : prog.step])
+    )
     new_ctx = builder.context(q * ctx.ell)
     diagnostics = {"q": q, "xi": xi, "eta": eta, "met": res.met_threshold}
     if cfg.verify_steps:

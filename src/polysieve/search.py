@@ -2,7 +2,9 @@
 bounds, and forbidden-difference generation from polynomial images.
 
 Sets live as bitmasks in Python integers (bit n set means n is a member),
-so pairwise-difference checks collapse to shifts and ANDs.
+so pairwise-difference checks collapse to shifts and ANDs. Array code
+crosses into and out of that format only through AvoidingSet.indicator and
+AvoidingSet.from_indicator.
 
 dmax_table is the solver. Its anchored search runs in a C kernel,
 _anchor.c, which it compiles with gcc on first use into a cache directory
@@ -49,12 +51,21 @@ class AvoidingSet:
 
     @classmethod
     def from_members(cls, X: int, members: Iterable[int]) -> "AvoidingSet":
-        bits = 0
+        if X < 0:
+            raise ValueError("X must be nonnegative")
+        mask = np.zeros(X + 1, dtype=bool)
         for m in members:
             if not 1 <= m <= X:
                 raise ValueError(f"member {m} outside [1, {X}]")
-            bits |= 1 << m
-        return cls(X, bits)
+            mask[m] = True
+        return cls.from_indicator(mask)
+
+    @classmethod
+    def from_indicator(cls, mask: np.ndarray) -> "AvoidingSet":
+        """The set over [1, len(mask) - 1] whose members are the true
+        entries of mask; the inverse of indicator."""
+        packed = np.packbits(mask, bitorder="little")
+        return cls(len(mask) - 1, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def empty(cls, X: int) -> "AvoidingSet":
@@ -72,14 +83,14 @@ class AvoidingSet:
     def alpha(self) -> float:
         return self.size / self.X if self.X else 0.0
 
+    def indicator(self) -> np.ndarray:
+        """Bool array of length X + 1 whose entry n says whether n is a
+        member (entry 0 is False), as sieve.w_mask."""
+        raw = np.frombuffer(self.bits.to_bytes(self.X // 8 + 1, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.X + 1, bitorder="little").view(bool)
+
     def members(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return self.member_array().tolist()
 
     def __contains__(self, n: int) -> bool:
         return 0 < n <= self.X and bool(self.bits >> n & 1)
@@ -88,28 +99,21 @@ class AvoidingSet:
         return self.members()
 
     def member_array(self) -> np.ndarray:
-        return np.array(self.members(), dtype=np.int64)
+        return np.flatnonzero(self.indicator())
 
 
 def image_values(poly: IntPoly, lo: int, hi: int) -> list[int]:
-    """All values of poly over the integers that land in [lo, hi], sorted."""
+    """All values of poly over the integers that land in [lo, hi], sorted.
+
+    Every root lies within the Cauchy bound, so beyond it plus
+    hi^(1/degree) + 2 the polynomial exceeds hi in absolute value. The
+    scan runs in blocks of 2^12 points, since a polynomial with large
+    coefficients is evaluated in object integers there."""
+    bound = poly.cauchy_bound() + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
     vals = set()
-    cauchy = poly.cauchy_bound()
-    n = 1
-    while True:
-        v = poly(n)
-        if v > hi and poly(n + 1) > v:  # increasing beyond the bound
-            break
-        if lo <= v <= hi:
-            vals.add(v)
-        n += 1
-        if n > hi + cauchy + 2:
-            break
-    bound = cauchy + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
-    for n in range(-bound, 1):
-        v = poly(n)
-        if lo <= v <= hi:
-            vals.add(v)
+    for start in range(-bound, bound + 1, 1 << 12):
+        block = poly(np.arange(start, min(start + (1 << 12), bound + 1))).tolist()
+        vals.update(v for v in block if lo <= v <= hi)
     return sorted(vals)
 
 
@@ -142,44 +146,29 @@ def forbidden_values(
     return [v for v in poly(ns).tolist() if v >= 1]
 
 
-def _forbidden_mask(F: Sequence[int], X: int) -> int:
-    bits = 0
-    for f in F:
-        if 1 <= f <= X - 1:
-            bits |= 1 << f
-    return bits
-
-
 def verify_avoiding(A: AvoidingSet, F: Sequence[int]) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Exhaustive check that no two members differ by an element of F.
 
     Returns (ok, first violation as (smaller, larger, difference))."""
-    fmask = _forbidden_mask(F, A.X)
-    f = fmask
-    while f:
-        low = f & -f
-        diff = low.bit_length() - 1
+    for diff in sorted({f for f in F if 1 <= f <= A.X - 1}):
         hit = A.bits & (A.bits >> diff)
         if hit:
             n = (hit & -hit).bit_length() - 1
             return False, (n, n + diff, diff)
-        f ^= low
     return True, None
 
 
 def greedy_avoiding(F: Sequence[int], X: int) -> AvoidingSet:
     """Left-to-right greedy scan admitting n unless it conflicts with an
-    earlier member."""
+    earlier member. Only members below n block n, so blocked[n] is final
+    when the scan reaches n, and the members are the unblocked positions."""
     farr = np.array(sorted({f for f in F if 1 <= f <= X - 1}), dtype=np.int64)
     blocked = np.zeros(X + 1, dtype=bool)
-    bits = 0
+    blocked[0] = True
     for n in range(1, X + 1):
         if not blocked[n]:
-            bits |= 1 << n
-            if farr.size:
-                hits = n + farr[farr <= X - n]
-                blocked[hits] = True
-    return AvoidingSet(X, bits)
+            blocked[n + farr[farr <= X - n]] = True
+    return AvoidingSet.from_indicator(~blocked)
 
 
 def exhaustive_max_table(F: Sequence[int], X: int) -> list[int]:

@@ -191,6 +191,10 @@ def test_increment_end_to_end_greedy():
     assert out.option in ("star", "opt2", "opt3")
     assert out.new_alpha > out.old_alpha
     assert out.diagnostics["rescaled_avoids_image"]
+    # the rescaled set is A's trace on the progression, renumbered from 1
+    prog = out.progression
+    trace = [i + 1 for i, n in enumerate(range(prog.start, prog.last + 1, prog.step)) if n in A]
+    assert out.rescaled == AvoidingSet.from_members(prog.length, trace)
     # independent recheck against the full integer image of the new context
     q = out.progression.q
     forb = image_values(out.new_context.aux, 1, out.rescaled.X)

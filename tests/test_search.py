@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import squares_upto
@@ -25,6 +25,7 @@ from polysieve.search import (
     exhaustive_max_table,
     forbidden_values,
     greedy_avoiding,
+    image_values,
     verify_avoiding,
 )
 from polysieve.sieve import SieveTable, in_W
@@ -271,7 +272,7 @@ def _decide_anchor_py(X, target, D, fmask):
 
 
 def _reference_table(F, X_max):
-    fmask = search._forbidden_mask(F, X_max)
+    fmask = sum(1 << f for f in set(F) if 1 <= f <= X_max - 1)
     D, rows = [0], []
     for X in range(1, X_max + 1):
         bits = _decide_anchor_py(X, D[-1] + 1, D, fmask)
@@ -412,3 +413,115 @@ def test_avoiding_set_pickle_eq_hash():
     B = pickle.loads(pickle.dumps(A))
     assert B == A and hash(B) == hash(A) and B.members() == [2, 5, 64, 70]
     assert A != AvoidingSet.from_members(70, [2, 5]) and not hasattr(A, "__dict__")
+
+
+def _members_loop(A):
+    """The bit-peeling members() the indicator codec replaced: reference only."""
+    out = []
+    b = A.bits
+    while b:
+        low = b & -b
+        out.append(low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+def _verify_loop(A, F):
+    """The forbidden-mask verify_avoiding the codec replaced: reference only."""
+    f = sum(1 << d for d in set(F) if 1 <= d <= A.X - 1)
+    while f:
+        low = f & -f
+        diff = low.bit_length() - 1
+        hit = A.bits & (A.bits >> diff)
+        if hit:
+            n = (hit & -hit).bit_length() - 1
+            return False, (n, n + diff, diff)
+        f ^= low
+    return True, None
+
+
+def _greedy_loop(F, X):
+    """The bits-building greedy_avoiding the codec replaced: reference only."""
+    farr = np.array(sorted({f for f in F if 1 <= f <= X - 1}), dtype=np.int64)
+    blocked = np.zeros(X + 1, dtype=bool)
+    bits = 0
+    for n in range(1, X + 1):
+        if not blocked[n]:
+            bits |= 1 << n
+            if farr.size:
+                blocked[n + farr[farr <= X - n]] = True
+    return AvoidingSet(X, bits)
+
+
+_sets = st.integers(0, 300).flatmap(lambda X: st.tuples(st.just(X), st.integers(0, (1 << X) - 1)))
+
+
+@given(_sets)
+@example((7, 0b1010101))
+@example((15, (1 << 15) - 1))
+@example((0, 0))
+@settings(max_examples=200, deadline=None)
+def test_indicator_round_trip(case):
+    X, raw = case
+    A = AvoidingSet(X, raw << 1)
+    mask = A.indicator()
+    assert mask.dtype == bool and mask.shape == (X + 1,) and not mask[0]
+    assert np.flatnonzero(mask).tolist() == _members_loop(A)
+    assert AvoidingSet.from_indicator(mask) == A
+
+
+def test_from_indicator_rejects_zero():
+    with pytest.raises(ValueError):
+        AvoidingSet.from_indicator(np.ones(9, dtype=bool))
+
+
+@given(_sets, st.lists(st.integers(-3, 320), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_bit_loops(case, F):
+    X, raw = case
+    A = AvoidingSet(X, raw << 1)
+    assert A.members() == _members_loop(A)
+    assert A.member_array().tolist() == _members_loop(A) and A.member_array().dtype == np.int64
+    assert AvoidingSet.from_members(X, _members_loop(A)) == A
+    assert verify_avoiding(A, F) == _verify_loop(A, F)
+    assert greedy_avoiding(F, X) == _greedy_loop(F, X)
+
+
+def _image_values_loop(poly, lo, hi):
+    """The scan image_values used to run, which stops on the positive side
+    at the first n past hi where poly increases: reference only."""
+    vals = set()
+    cauchy = poly.cauchy_bound()
+    n = 1
+    while True:
+        v = poly(n)
+        if v > hi and poly(n + 1) > v:
+            break
+        if lo <= v <= hi:
+            vals.add(v)
+        n += 1
+        if n > hi + cauchy + 2:
+            break
+    bound = cauchy + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
+    for n in range(-bound, 1):
+        v = poly(n)
+        if lo <= v <= hi:
+            vals.add(v)
+    return sorted(vals)
+
+
+def test_image_values_of_a_polynomial_that_is_not_monotone():
+    # n (n - 15)^2 falls from n = 5 to n = 15 after passing 100
+    assert image_values(IntPoly((0, 225, -30, 1)), 1, 100) == [14, 16, 52, 68]
+    assert _image_values_loop(IntPoly((0, 225, -30, 1)), 1, 100) == []
+
+
+def test_image_values_matches_loop_on_increasing_towers(normalized_fixtures):
+    # ell = 1 is left out: there the sextic's Cauchy bound is about 8e5,
+    # which costs the old loop seconds per call
+    for name in ("x2", "x2m1", "sextic"):
+        builder = AuxiliaryBuilder(normalized_fixtures[name])
+        for ell in (2, 3, 6, 12):
+            aux = builder.context(ell).aux
+            for hi in (10, 10**3, 10**5):
+                assert image_values(aux, 1, hi) == _image_values_loop(aux, 1, hi), (name, ell, hi)
