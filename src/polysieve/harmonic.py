@@ -3,7 +3,8 @@
 The weight w is a finite convolution of box kernels with widths shrinking
 like 1/(j+1)^2, peak-normalized onto [0,1]. The weighted image g places
 mass J * h'(n) * w(h(n)/X) at +-h(n) for sieved n. Fourier data is computed
-either pointwise (exact phase reduction) or on a grid by FFT.
+either pointwise (exact phase reduction) or on a grid by FFT (for the real
+even g, by a cosine transform at half the length).
 """
 
 from __future__ import annotations
@@ -299,18 +300,93 @@ def _units_mod(q: int) -> np.ndarray:
     return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
 
 
+_DCT_BASE = 1 << 10  # _cosine_spectrum halves no DCT-I of this size or less
+
+
+def _cosine_spectrum(x: np.ndarray, N: int) -> np.ndarray:
+    """out[j] = sum_n x[n] cos(2 pi n j / N) for j = 0..N-1, from x of length
+    N // 2 + 1; the spectrum of the real even sequence that x folds, itself
+    real and even (out[N - j] == out[j]). x is overwritten.
+
+    For even N = 2M, out[:M + 1] is the DCT-I G(j) = sum x_n cos(pi n j / M).
+    Its even outputs are a DCT-I of size M/2 on y_m = x_m + x_{M-m}
+    (y_{M/2} = x_{M/2}), built in place in x[:M/2 + 1]; its odd outputs
+    G(2k + 1) are the DCT-III sum_{m < L} z_m cos(pi m (2k + 1) / 2L) of
+    z_m = x_m - x_{M-m}, L = M/2, which one irfft of length L gives
+    (Makhoul, IEEE TASSP 1980): with H_0 = z_0 and
+    H_m = e(m / 4L) (z_m - i z_{L-m}) / 2, the irfft's entry n is G(4n + 1)
+    for n < L/2 and G(2M - 4n - 1) after. The loop halves M while it is even
+    and above _DCT_BASE, writing each level into a strided view of the
+    output, and one rfft of the symmetric extension ends it; so the work is
+    irfft(N/4) + irfft(N/8) + ... instead of rfft(N). The twiddles are
+    computed once, at the top level; level k takes every 2^k-th. The upper
+    half of the output is scratch until the final mirror.
+    """
+    M = N // 2
+    out = np.empty(N)
+    view, m, step, tw = out[: M + 1], M, 1, None
+    while N % 2 == 0 and m % 2 == 0 and m > _DCT_BASE:
+        L = m // 2
+        h = L // 2 + 1
+        if tw is None:
+            tw = np.empty(h, dtype=complex)
+            angle = np.arange(h) * (0.5 * np.pi / L)
+            np.cos(angle, out=tw.real)
+            np.sin(angle, out=tw.imag)
+            del angle
+            tw *= 0.5
+        z = out[M + 1 : M + 1 + L]
+        np.subtract(x[:L], x[m:L:-1], out=z)
+        x[:L] += x[m:L:-1]
+        H = np.empty(h, dtype=complex)
+        H.real = z[:h]
+        H.imag[0] = 0.0
+        np.negative(z[L - 1 : L - h : -1], out=H.imag[1:])
+        H[1:] *= tw[step : step * h : step]
+        np.fft.irfft(H, L, norm="forward", out=z)
+        del H
+        k = (L + 1) // 2
+        view[1:m:4] = z[:k]
+        view[3:m:4] = z[k:][::-1]
+        view, x, m, step = view[::2], x[: L + 1], L, 2 * step
+    del tw  # freed before the base and the mirror touch new pages
+    # the base: rfft of the even extension of x, whose interior holds half
+    # of each x_n on either side; at the top level it is built in the output
+    n = N if step == 1 else 2 * m
+    ext = out if step == 1 else np.empty(n)
+    ext[: m + 1] = x
+    ext[1 : n - m] *= 0.5
+    ext[m + 1 :] = ext[n - m - 1 : 0 : -1]
+    view[:] = np.fft.rfft(ext).real
+    out[M + 1 :] = out[N - M - 1 : 0 : -1]
+    return out
+
+
 @dataclass
 class Spectrum:
     n: int
-    values: np.ndarray  # f^(j/N) for j = 0..N-1
+    # f^(j/N) for j = 0..N-1: float64 for a WeightedImage, whose spectrum is
+    # real and even, complex128 for every other source
+    values: np.ndarray
 
 
 def fourier_grid(source: Source, N: int) -> Spectrum:
-    """FFT of the folded support: agrees with fourier_point at every j/N."""
+    """f^(j/N) for j = 0..N-1; agrees with fourier_point at every j/N.
+
+    A WeightedImage is real and even: its weights at +-v fold onto
+    min(v mod N, N - v mod N), and one cosine transform at half the length
+    (_cosine_spectrum) gives the spectrum as float64 values. Any other
+    source folds onto v mod N and takes an FFT (_fold_fft), giving
+    complex128 values.
+    """
     vals, weights = _support(source)
     maxmag = int(np.abs(vals).max(initial=0))
     if N < 2 * maxmag + 1:
         raise ValueError(f"grid size {N} too small for support magnitude {maxmag}")
+    if isinstance(source, WeightedImage):
+        r = vals % N
+        x = np.bincount(np.minimum(r, N - r), weights, minlength=N // 2 + 1)
+        return Spectrum(N, _cosine_spectrum(x, N))
     return Spectrum(N, _fold_fft(vals, weights, N))
 
 
@@ -527,27 +603,48 @@ def classify_arc(theta: float, params: ArcParams) -> Arc:
 def major_arc_mask(thetas: np.ndarray, params: ArcParams) -> np.ndarray:
     """classify_arc(theta, params).is_major for every theta in an array.
 
-    theta mod 1 is major iff its float distance to the nearest a/q with
-    q <= Qmax is at most tau; the nearest fraction is one of the two sorted
-    neighbours of theta. Denominators go in blocks of at most about 2^21
-    fractions, which bounds the memory.
+    theta mod 1 is major iff its float distance |t - a/q| to some a/q with
+    q <= Qmax is at most tol = tau + 1e-18. The thetas are sorted once, each
+    arc [a/q - tol, a/q + tol] is searched in them, and a difference array
+    over the sorted thetas marks the hits, so the time grows like
+    Qmax^2 log N, not like Qmax^2 N. Denominators go in blocks of at most
+    about 2^20 fractions, which bounds the memory. Sorted fractions at most
+    2 tol apart (an exact difference) leave no point between their arcs, so
+    each run of them is searched once.
+
+    The ends are exact. The arcs do not cover the circle, so
+    tol < 1/(2 Qmax) <= a/q / 2 for a > 0; near an arc's end t - a/q is
+    then exact (Sterbenz), and the predicate holds exactly for the floats
+    t >= a/q - tol (real). That bound rounds to p = fl(a/q - tol), and the
+    predicate at p says whether p or the next float up is the first point
+    inside; likewise at the upper end.
     """
     t = np.asarray(thetas, dtype=float)
     t = t - np.floor(t)
     if params.covers_circle:
         return np.ones(t.shape, dtype=bool)
     tol = params.tau + 1e-18
-    mask = np.zeros(t.shape, dtype=bool)
+    flat = t.ravel()
+    order = np.argsort(flat, kind="stable")
+    ts = flat[order]
+    cover = np.zeros(ts.size + 1, dtype=np.intp)
     qmax = int(params.Qmax)
-    step = max(1, (1 << 21) // (qmax + 1))
-    for lo in range(1, qmax + 1, step):
-        qs = range(lo, min(lo + step, qmax + 1))
+    step = max(1, (1 << 20) // (qmax + 1))
+    for q0 in range(1, qmax + 1, step):
+        qs = range(q0, min(q0 + step, qmax + 1))
         fracs = np.sort(np.concatenate([np.arange(q + 1) / q for q in qs]))
-        # fracs holds 0 and 1, so t in [0, 1) lies between fracs[i - 1] and
-        # fracs[i]; at t = 0, fracs[-1] = 1 is a harmless neighbour
-        i = np.searchsorted(fracs, t)
-        mask |= (np.abs(t - fracs[i - 1]) <= tol) | (np.abs(t - fracs[i]) <= tol)
-    return mask
+        cut = np.flatnonzero(np.diff(fracs) > 2 * tol)  # where a run of arcs ends
+        first = fracs[np.r_[0, cut + 1]]
+        last = fracs[np.r_[cut, fracs.size - 1]]
+        p = first - tol
+        lo = np.searchsorted(ts, np.where(first - p <= tol, p, np.nextafter(p, np.inf)), "left")
+        p = last + tol
+        hi = np.searchsorted(ts, np.where(p - last <= tol, p, np.nextafter(p, -np.inf)), "right")
+        np.add.at(cover, lo, 1)
+        np.add.at(cover, hi, -1)
+    mask = np.empty(ts.size, dtype=bool)
+    mask[order] = np.cumsum(cover[:-1]) > 0
+    return mask.reshape(t.shape)
 
 
 @dataclass

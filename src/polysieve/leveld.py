@@ -75,6 +75,16 @@ class ModulusFamily:
         return fam
 
 
+def _product(xs: Sequence[int]) -> int:
+    """Product of xs by a balanced tree: the operands of each multiplication
+    have about equal size, where multiplying one at a time into a growing
+    product would cost time quadratic in its length."""
+    xs = list(xs)
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
+
+
 def build_family(
     variant: int,
     alpha: float,
@@ -103,13 +113,8 @@ def build_family(
     else:
         raise ValueError("variant must be 1 or 2")
     smooth_primes = primes_upto(int(smooth))
-    distinguished = 1
-    dist_fac: dict[int, int] = {}
-    for p in smooth_primes:
-        distinguished *= p**exponent
-        dist_fac[p] = exponent
-    members = [distinguished]
-    factors = [dist_fac]
+    members = [_product(smooth_primes) ** exponent]
+    factors = [dict.fromkeys(smooth_primes, exponent)]
     for p in primes_upto(int(p_max)):
         if p <= smooth:
             continue

@@ -1,18 +1,25 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysieve import harmonic
 from polysieve.harmonic import (
     ArcParams,
     HarmonicParams,
+    _cosine_spectrum,
     _fold_fft,
     _phases_mod1,
+    _support,
     classify_arc,
     fourier_grid,
     fourier_point,
@@ -207,10 +214,91 @@ def test_subgroup_parseval():
 
 def test_weighted_image_spectrum_real_even(smooth24, x2ctx):
     img = g_build(x2ctx, 2000, 2, smooth24)
-    spec = fourier_grid(img, 1 << 12)
-    assert np.max(np.abs(spec.values.imag)) < 1e-9 * np.max(np.abs(spec.values.real))
-    assert spec.values[0].real == pytest.approx(img.total_mass)
+    N = 1 << 12
+    spec = fourier_grid(img, N)
+    assert spec.values.dtype == np.float64
+    assert np.array_equal(spec.values[1:], spec.values[:0:-1])  # values[N - j] == values[j]
+    assert spec.values[0] == pytest.approx(img.total_mass)
     assert img.fourier(0.0) == pytest.approx(img.total_mass)
+
+
+# grid sizes for support magnitudes up to 1000: the smallest allowed (odd),
+# the next (even, M = max + 1 <= 2^10, so no halving), M = 2^10 and 2^11 on
+# either side of the halving's stop, and M = 3 * 2^11, halved three times
+GRID_SIZES = {
+    "2max+1": lambda maxv: 2 * maxv + 1,
+    "2max+2": lambda maxv: 2 * maxv + 2,
+    "2^11": lambda maxv: 1 << 11,
+    "2^12": lambda maxv: 1 << 12,
+    "3*2^12": lambda maxv: 3 << 12,
+    "2^14": lambda maxv: 1 << 14,
+}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from(sorted(GRID_SIZES)))
+@example(0, 0, "2max+1")
+@example(1, 1, "2max+2")
+@example(2, 60, "2^11")  # M = 2^10: one rfft, no halving
+@example(3, 60, "2^12")  # M = 2^11: one halving, then the rfft
+@settings(max_examples=150, deadline=None)
+def test_weighted_image_grid_matches_fold_fft(smooth24, x2ctx, seed, size, kind):
+    # the half-length cosine transform against the rfft fold of the even support
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.choice(np.arange(1, 1001), size, replace=False)).astype(np.int64)
+    img = dataclasses.replace(
+        g_build(x2ctx, 100, 2, smooth24), values=values, weights=rng.standard_normal(size)
+    )
+    N = GRID_SIZES[kind](int(values.max(initial=0)))
+    got = fourier_grid(img, N).values
+    want = _fold_fft(*_support(img), N)
+    assert got.dtype == np.float64 and got.shape == (N,)
+    assert np.abs(got - want).max() <= 1e-12 * 2.0 * np.abs(img.weights).sum()
+
+
+@given(st.integers(1, 1 << 14), st.integers(0, 2**32 - 1))
+@example(1 << 11, 0)
+@example((1 << 11) + 4, 0)
+@example(1 << 14, 1)
+@example(3 << 11, 2)
+@example(5 << 10, 3)
+@settings(max_examples=150, deadline=None)
+def test_cosine_spectrum_matches_rfft_of_even_extension(N, seed):
+    # dense inputs; the extension puts x_0 (and x_M for even N) once and half
+    # of every other x_n at n and at N - n
+    rng = np.random.default_rng(seed)
+    M = N // 2
+    x = rng.standard_normal(M + 1)
+    ext = np.zeros(N)
+    ext[: M + 1] = x
+    ext[1 : N - M] *= 0.5
+    ext[M + 1 :] = ext[N - M - 1 : 0 : -1]
+    half = np.fft.rfft(ext).real
+    want = np.concatenate([half, half[N - M - 1 : 0 : -1]])
+    got = _cosine_spectrum(x.copy(), N)
+    assert got.dtype == np.float64 and np.array_equal(got[1:], got[:0:-1])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(x).sum()
+
+
+def test_weighted_image_grid_memory():
+    # the cosine transform keeps the N float64 outputs, the M + 1 folded
+    # weights and N/8 twiddles; a complex N-point grid would add 16N bytes
+    N = 1 << 23
+    code = (
+        "import resource\n"
+        "from polysieve.harmonic import fourier_grid, g_build, smooth_weight_build\n"
+        "from polysieve.intersective import AuxiliaryBuilder\n"
+        "from polysieve.polycore import IntPoly\n"
+        "aux = AuxiliaryBuilder(IntPoly((0, 0, 1))).context(1)\n"
+        "img = g_build(aux, 2 * 10**6, 2.0, smooth_weight_build(24, 2**12))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"spec = fourier_grid(img, {N})\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    path = [str(Path(harmonic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < 2 * 8 * N  # ru_maxrss counts KiB on Linux
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +600,94 @@ def test_minor_arc_audit_matches_brute_force(smooth24, x2ctx, qmax, tau_times_q)
         assert abs(abs(img.fourier(rep.argmax_theta)) - rep.sup_minor) <= 1e-9 * img.total_mass
     else:
         assert rep.sup_minor == 0.0 and rep.argmax_theta is None
+
+
+def _major_arc_mask_blocks(thetas, params):
+    """The block-sort major_arc_mask, kept as the reference: per block of
+    about 2^21 fractions, one sort and one searchsorted of every theta, and
+    a test of its two sorted neighbours."""
+    t = np.asarray(thetas, dtype=float)
+    t = t - np.floor(t)
+    if params.covers_circle:
+        return np.ones(t.shape, dtype=bool)
+    tol = params.tau + 1e-18
+    mask = np.zeros(t.shape, dtype=bool)
+    qmax = int(params.Qmax)
+    step = max(1, (1 << 21) // (qmax + 1))
+    for lo in range(1, qmax + 1, step):
+        qs = range(lo, min(lo + step, qmax + 1))
+        fracs = np.sort(np.concatenate([np.arange(q + 1) / q for q in qs]))
+        i = np.searchsorted(fracs, t)
+        mask |= (np.abs(t - fracs[i - 1]) <= tol) | (np.abs(t - fracs[i]) <= tol)
+    return mask
+
+
+def _arc_edges(params, qs):
+    """Points on and one float beside both ends of the arcs around a/q."""
+    out = []
+    for q in qs:
+        for a in range(q + 1):
+            for end in (a / q - params.tau, a / q + params.tau):
+                out += [end, np.nextafter(end, -1.0), np.nextafter(end, 2.0)]
+    return out
+
+
+def test_major_arc_mask_matches_blocks_with_gaps():
+    # Qmax = 10^4 with tau = 2.6e-5: the arcs leave gaps, and the reference
+    # sorts about 5 * 10^7 fractions in 24 blocks
+    params = dataclasses.replace(ArcParams.make(0.2, 1.0, 10.0, 10**6), Qmax=1e4, tau=2.6e-5)
+    assert not params.covers_circle
+    N = 1 << 16
+    rng = np.random.default_rng(7)
+    thetas = np.concatenate(
+        [np.arange(N) / N, rng.random(1000) * 6 - 3, _arc_edges(params, [1, 2, 3, 9973, 10**4])]
+    )
+    got = major_arc_mask(thetas, params)
+    assert np.array_equal(got, _major_arc_mask_blocks(thetas, params))
+    assert 0 < int((~got).sum()) < thetas.size
+
+
+@given(
+    st.integers(1, 400),
+    st.floats(0.0, 0.999),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "grid", "edges", "ties"]),
+)
+@example(1, 0.0, 0, "edges")
+@example(40, 0.5, 1, "edges")
+@example(400, 0.999, 2, "grid")
+@settings(max_examples=200, deadline=None)
+def test_major_arc_mask_matches_blocks(qmax, cover, seed, kind):
+    # 2 tau Qmax = cover < 1, so the arcs never cover the circle
+    params = dataclasses.replace(
+        ArcParams.make(0.2, 1.0, 10.0, 10**6), Qmax=float(qmax), tau=max(cover, 1e-12) / (2 * qmax)
+    )
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        thetas = rng.random(500) * 4 - 2
+    elif kind == "grid":
+        thetas = np.arange(4096) / 4096
+    elif kind == "edges":
+        thetas = np.array(_arc_edges(params, rng.integers(1, qmax + 1, 5).tolist()))
+    else:  # many equal thetas at the ends of arcs
+        thetas = np.repeat(_arc_edges(params, [1, qmax]), 3)
+    assert np.array_equal(major_arc_mask(thetas, params), _major_arc_mask_blocks(thetas, params))
+
+
+@pytest.mark.parametrize("qmax", [3, 50, 400])
+def test_major_arc_mask_keeps_gaps_a_hair_wider_than_two_arcs(qmax):
+    # 1/qmax and 1/(qmax - 1) are neighbours in the Farey sequence; with tau
+    # a hair below half their gap, the middle of the gap is minor, and runs
+    # of overlapping arcs must not join across it
+    gap = Fraction(1, qmax * (qmax - 1))
+    params = dataclasses.replace(
+        ArcParams.make(0.2, 1.0, 10.0, 10**6), Qmax=float(qmax), tau=float(gap / 2) * (1 - 1e-4)
+    )
+    fracs = sorted({Fraction(a, q) for q in range(1, qmax + 1) for a in range(q + 1)})
+    middles = np.array([float((x + y) / 2) for x, y in zip(fracs, fracs[1:])])
+    got = major_arc_mask(middles, params)
+    assert np.array_equal(got, _major_arc_mask_blocks(middles, params))
+    assert not got[fracs.index(Fraction(1, qmax))]
 
 
 def test_initial_mass_examples():

@@ -43,6 +43,20 @@ def test_build_family_variant2():
     assert fam.params["distinguished_exponent"] == expo
 
 
+@pytest.mark.parametrize(
+    "variant, alpha, epsilon", [(1, 0.1, 0.5), (1, 0.02, 0.5), (2, 0.05, 1.0), (2, 5e-4, 0.01)]
+)
+def test_distinguished_member_is_the_sequential_product(variant, alpha, epsilon):
+    # the product tree against multiplying the prime powers one at a time
+    fam = build_family(variant, alpha, epsilon)
+    expo = fam.params["distinguished_exponent"]
+    product = 1
+    for p in sorted(fam.member_factors[0]):
+        product *= p**expo
+    assert fam.distinguished == product
+    assert fam.member_factors[0] == {p: expo for p in fam.member_factors[0]}
+
+
 def test_build_family_validation():
     with pytest.raises(ValueError):
         build_family(1, 0.7, 1.0)
