@@ -269,7 +269,8 @@ def _task_gauss(ctx: RunContext, p: dict) -> dict:
 def _task_mass(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     A = ctx.make_set(p["set"], X)
-    ap = harmonic.ArcParams.make(max(A.alpha, 1e-9), float(p["epsilon"]), float(p["C1"]), X)
+    cfg = ctx.config.increment_config()
+    ap = harmonic.ArcParams.make(max(A.alpha, 1e-9), cfg.epsilon, cfg.C1, X)
     value = harmonic.initial_mass(A, float(p["xi"]), ap)
     return {"alpha": A.alpha, "mass": value, "alpha2X2": (A.alpha * X) ** 2}
 
@@ -278,8 +279,9 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     alpha = float(p["alpha"])
     if int(p["variant"]) in (1, 2):
-        consts = {k: float(v) for k, v in ctx.config.constants.items() if k in ("C1", "C2", "C3")}
-        fam = leveld.build_family(int(p["variant"]), alpha, float(p["epsilon"]), consts)
+        cfg = ctx.config.increment_config()
+        consts = {"C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3}
+        fam = leveld.build_family(int(p["variant"]), alpha, cfg.epsilon, consts)
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []
@@ -375,10 +377,7 @@ TASKS: dict[str, TaskDef] = {
     "aux": TaskDef({"ell_max": 30}, _task_aux),
     "sieve": TaskDef({"U": 10.0, "ell": 1}, _task_sieve),
     "gauss": TaskDef({"q_max": 100, "U": 100.0, "ell": 1, "all_a": False}, _task_gauss),
-    "mass": TaskDef(
-        {"set": {"kind": "multiples", "m": 3}, "x": 300, "xi": 0.0, "epsilon": 1.0, "C1": 10.0},
-        _task_mass,
-    ),
+    "mass": TaskDef({"set": {"kind": "multiples", "m": 3}, "x": 300, "xi": 0.0}, _task_mass),
     "leveld": TaskDef(
         {
             "alpha": 0.2,
@@ -387,7 +386,6 @@ TASKS: dict[str, TaskDef] = {
             "trials": 5,
             "members": [3, 4, 5, 7, 11],
             "variant": 0,
-            "epsilon": 1.0,
         },
         _task_leveld,
     ),
@@ -492,11 +490,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default="runs/latest", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--preset", choices=["paper", "desk"], default="desk")
-        p.add_argument("--poly", default="0,0,1", help="coefficients, constant first")
 
     # task params exposed as flags; types and defaults come from TASKS
     specs = {
@@ -515,11 +510,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name, keys in specs.items():
         p = sub.add_parser(name)
         common(p)
+        p.add_argument("--preset", choices=["paper", "desk"], default="desk")
+        p.add_argument("--poly", default="0,0,1", help="coefficients, constant first")
         for key in keys:
             default = TASKS[name].params[key]
             p.add_argument("--" + key.replace("_", "-"), type=_flag_type(default), default=default)
     p_run = sub.add_parser("run", help="run a full config file")
     common(p_run)
+    p_run.add_argument("--config", required=True, help="JSON config path")
     p_rep = sub.add_parser("report", help="aggregate a run directory")
     p_rep.add_argument("--out", default="runs/latest")
 
@@ -528,10 +526,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(emit_report(ns.out))
         return 0
 
-    if ns.config:
+    if ns.command == "run":
         config = ExperimentConfig.load(ns.config)
-    elif ns.command == "run":
-        parser.error("run requires --config")
     else:
         params = {key: getattr(ns, key) for key in specs[ns.command]}
         config = ExperimentConfig.from_dict(

@@ -277,15 +277,11 @@ def fourier_point(source: Source, theta) -> complex:
 
 
 def _fold_fft(positions: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
-    """f^(a/q) for a = 0..q-1, for f = weights at positions: sum the weights
-    into their residues mod q, then take one FFT. Real weights fold in a real
-    float64 array and take a real FFT, whose upper half is the conjugate
-    mirror of its lower half, so a large grid gets no complex copy of the
-    fold; it agrees with the complex FFT of the fold to rounding."""
-    c = np.zeros(q, dtype=np.promote_types(weights.dtype, np.float64))
+    """f^(a/q) for a = 0..q-1, for f = real weights at positions: fold the
+    weights mod q into float64 and take one real FFT, mirroring its conjugate
+    into the upper half; a large grid gets no complex copy of the fold."""
+    c = np.zeros(q)
     np.add.at(c, positions % q, weights)
-    if np.iscomplexobj(c):
-        return np.fft.fft(c)
     half = np.fft.rfft(c)
     del c  # freed before the output is allocated
     m = half.size  # q // 2 + 1
@@ -814,20 +810,51 @@ def minor_arc_audit(
 # ---------------------------------------------------------------------------
 
 
+def _mod_masses(A: AvoidingSet, offset: float, q_max: int, xis: Sequence[float]) -> np.ndarray:
+    """out[i, q] = sum over a mod q of |f^(a/q + xi_i)|^2, q = 1..q_max, for
+    f = 1_A - offset on [1, X]: by Parseval q (R(0) + 2 sum_{k >= 1} R(kq)
+    cos 2 pi (kq |xi| mod 1)), or q R(0) for q >= X (xi and -xi get the same
+    number). R(d) = sum_n f(n + d) f(n) comes from one real FFT pair of length
+    2X, zero-padded so it is not circular, in one buffer that holds the
+    weights, then R, since the increment scan can set a run's peak memory."""
+    X = A.X
+    buf = np.zeros(2 * X)
+    buf[:X] = A.indicator()[1:] - offset
+    spec = np.fft.rfft(buf)
+    re, im = spec.real, spec.imag
+    re *= re
+    im *= im
+    re += im
+    im[:] = 0.0  # spec = |spec|^2
+    np.fft.irfft(spec, 2 * X, out=buf)
+    del spec, re, im
+    R, terms = buf[:X], buf[X:]  # R(0..X-1); lags X..2X-1 are scratch
+    out = np.full((len(xis), 1), R[0]) * np.arange(q_max + 1)  # q R(0), kept for q >= X
+    lags = np.arange(X)
+    for i, xi in enumerate(xis):
+        np.multiply(lags, abs(xi), out=terms)
+        np.mod(terms, 1.0, out=terms)
+        terms *= TWO_PI
+        np.cos(terms, out=terms)
+        terms *= R
+        for q in range(1, min(q_max, X - 1) + 1):
+            out[i, q] = q * (R[0] + 2.0 * float(terms[q::q].sum()))
+    return out
+
+
 def initial_mass(A: AvoidingSet, xi: float, params: ArcParams) -> float:
     """sum over 2 <= q <= Qmax of q^(-1/(2+eps)) * sum over reduced a of
-    |1_A^(a/q + xi)|^2, with exact rational phase parts."""
+    |1_A^(a/q + xi)|^2. The sum over all a mod q (_mod_masses) is the sum
+    over d | q of the reduced sums mod d; subtracting each reduced sum from
+    its proper multiples, d ascending, leaves the reduced sums."""
     if abs(xi) > params.tau * (1 + 1e-9):
         raise ValueError("xi outside the arc radius")
     if A.size == 0:
         return 0.0
-    ns = A.member_array()
-    shift = np.exp(-2j * np.pi * np.mod(ns * float(xi), 1.0))
-    total = 0.0
     qmax = int(params.Qmax)
-    for q in range(2, qmax + 1):
-        hat = _fold_fft(ns, shift, q)  # index a gives sum e(-n a / q) e(-n xi)
-        total += q ** (-1.0 / (2.0 + params.epsilon)) * float(
-            np.sum(np.abs(hat[_units_mod(q)]) ** 2)
-        )
-    return total
+    if qmax > 10**7:  # time and memory grow like Qmax: about 10 s and 0.25 GiB at the bound
+        raise ValueError(f"Qmax = {qmax} too large for the mass")
+    red = _mod_masses(A, 0.0, qmax, [float(xi)])[0]
+    for d in range(1, qmax // 2 + 1):
+        red[2 * d :: d] -= red[d]
+    return float(np.arange(2, qmax + 1) ** (-1.0 / (2.0 + params.epsilon)) @ red[2:])

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .harmonic import TWO_PI
+from .harmonic import _mod_masses
 from .intersective import AuxiliaryBuilder, AuxiliaryContext
 from .polycore import IntPoly
 from .search import AvoidingSet, image_values, verify_avoiding
@@ -169,50 +169,25 @@ class StepOutcome:
 
 
 def _mass_scan(A: AvoidingSet, cfg: IncrementConfig, tau: float) -> list[tuple]:
-    """Candidate (q, xi, eta) triples by balanced-function mass over
-    q = 2..q_cap and a symmetric xi grid in [-tau, tau].
-
-    The mass at (q, xi), the sum over a mod q of |f^(a/q + xi)|^2, is by
-    Parseval q (R(0) + 2 sum_{k >= 1} R(kq) cos 2 pi (kq xi mod 1)), where
-    R is the autocorrelation of the balanced weights; one real FFT pair of
-    length 2X gives R for every xi and q. Raw mass grows linearly in q for
-    unstructured sets, so candidates are ranked by mass over the
-    q * alpha(1-alpha) X noise baseline; ties break toward smaller q then
-    earlier xi. Returns the ranked list so the caller can fall through
-    infeasible candidates."""
-    X = A.X
-    alpha = A.alpha
-    # the balanced weights w_n at index n - 1, zero-padded to 2X so that the
-    # circular autocorrelation is the linear one; the scan's temporaries are
-    # built in place and freed, since they can set a run's peak memory
-    weights = np.zeros(2 * X)
-    weights[:X] = -alpha
-    weights[A.member_array() - 1] = 1.0 - alpha
-    spec = np.fft.rfft(weights)
-    del weights
-    re, im = spec.real, spec.imag
-    re *= re
-    im *= im
-    re += im
-    im[:] = 0.0  # spec = |spec|^2
-    R = np.fft.irfft(spec, 2 * X)[:X].copy()  # R[d] = sum_n w_{n+d} w_n
-    del spec, re, im
-    xis = np.linspace(-tau, tau, cfg.xi_points) if cfg.xi_points > 1 else np.array([0.0])
+    """Candidate (q, xi, eta) triples, ranked, by the mass of the balanced
+    weights 1_A - alpha (_mod_masses) over q = 2..q_cap and the exactly
+    antisymmetric grid xi = j tau / m, m = xi_points - 1, j = -m, -m + 2, ..., m
+    (0 alone for one point). Raw mass grows linearly in q for unstructured
+    sets, so the rank is by mass over the q * alpha(1-alpha) X noise baseline,
+    then smaller q, |xi|, xi; the caller falls through infeasible ones."""
+    X, alpha = A.X, A.alpha
+    m = cfg.xi_points - 1
+    abs_xis = np.arange(m % 2, m + 1, 2) * tau / m if m else np.zeros(1)
+    masses = _mod_masses(A, alpha, cfg.q_cap, abs_xis)
     denom = alpha * alpha * X * X
     noise = alpha * (1.0 - alpha) * X
-    lags = np.arange(X)
-    terms = np.empty(X)
     scored = []
-    for xi_idx, xi in enumerate(xis):
-        np.multiply(lags, xi, out=terms)
-        np.mod(terms, 1.0, out=terms)
-        terms *= TWO_PI
-        np.cos(terms, out=terms)
-        terms *= R
+    for xi, row in zip(abs_xis.tolist(), masses):
         for q in range(2, cfg.q_cap + 1):
-            mass = q * (R[0] + 2.0 * float(terms[q::q].sum()))
+            mass = float(row[q])
             snr = mass / (q * noise) if noise > 0 else mass
-            scored.append((-snr, q, xi_idx, float(xi), mass / denom))
+            for signed in (-xi, xi) if xi else (xi,):
+                scored.append((-snr, q, xi, signed, mass / denom))
     scored.sort()
     return [(q, xi, eta) for _, q, _, xi, eta in scored]
 

@@ -207,7 +207,9 @@ class LevelDReport:
 
 def level_d_energy(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
     """Left side of the level-d inequality: sum over |S| = d and residues a
-    mod R_S with no member of S dividing a, of |f^(a/R_S)|^2."""
+    mod R_S with no member of S dividing a, of |f^(a/R_S)|^2; f is real."""
+    if np.iscomplexobj(f):
+        raise ValueError("f must be real")
     n_members = len(Q.members)
     if not 1 <= d <= n_members:
         raise ValueError("d out of range")
@@ -251,11 +253,11 @@ def level_d_audit(
     alpha: float,
     c0: float = 2.0**13,
 ) -> LevelDReport:
-    """Evaluate both branches of the level-d dichotomy for |f| <= 1 on [X].
+    """Evaluate both branches of the level-d dichotomy for real |f| <= 1 on [X].
 
     Hypotheses are checked and reported; the audit still runs when they fail
     so desk-scale behavior is observable."""
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     X = len(f)
     if np.max(np.abs(f)) > 1 + 1e-12:
         raise ValueError("need |f| <= 1 pointwise")

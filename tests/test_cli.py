@@ -82,6 +82,29 @@ def test_leveld_family_reads_config_constants(tmp_path):
     assert _family_size(tmp_path, "v2_wide", 2, {"C2": 1000.0, "C3": 1e-6}) == 169
 
 
+def _mass(tmp_path, sub, constants):
+    cfg = ExperimentConfig.from_dict(
+        {**MINIMAL, "constants": constants, "tasks": [{"name": "mass", "params": {}}]}
+    )
+    run_experiment(cfg, tmp_path / sub)
+    return json.loads((tmp_path / sub / "records.jsonl").read_text().splitlines()[-1])["result"]
+
+
+def test_mass_reads_config_constants(tmp_path):
+    # mass, like step, iterate and leveld, takes epsilon and C1 from the
+    # config's constants; the defaults are the documented ones
+    base = _mass(tmp_path, "base", {})
+    assert base == _mass(tmp_path, "explicit", {"epsilon": 1.0, "C1": 10.0})
+    assert _mass(tmp_path, "c1", {"C1": 5})["mass"] < base["mass"]  # Qmax halves
+    assert _mass(tmp_path, "eps", {"epsilon": 0.5})["mass"] != base["mass"]
+    for name in ("mass", "leveld"):
+        for key in ("epsilon", "C1") if name == "mass" else ("epsilon",):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(
+                    {**MINIMAL, "tasks": [{"name": name, "params": {key: 1.0}}]}
+                )
+
+
 def test_determinism_result_fields(tmp_path):
     cfg_raw = {
         "polynomial": [0, 0, 1],
@@ -151,6 +174,24 @@ def test_cli_subcommands_smoke(tmp_path):
     t, mag = np.array([[float(x) for x in row.split(",")[:2]] for row in rows]).T
     w = smooth_weight_build(TASKS["weight"].params["depth"], TASKS["weight"].params["resolution"])
     assert np.abs(mag - np.abs(w.fourier(t))).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "cfg.json", "--poly", "0,0,1"],
+        ["run", "--config", "cfg.json", "--preset", "paper"],
+        ["run"],
+        ["check", "--config", "cfg.json"],
+        ["mass", "--config", "cfg.json", "--x", "300"],
+    ],
+)
+def test_cli_rejects_flags_it_would_ignore(argv, capsys):
+    # --config belongs to run only, --poly and --preset to the task subcommands
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def _task_record(run_dir):

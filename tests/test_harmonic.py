@@ -733,13 +733,30 @@ def test_initial_mass_matches_the_gcd_list():
     A = AvoidingSet.from_members(10**4, (np.nonzero(rng.random(10**4) < 0.3)[0] + 1).tolist())
     params = ArcParams.make(A.alpha, 1.0, 10.0, A.X)
     total = initial_mass(A, 0.0, params)
-    assert total == _initial_mass_py(A, 0.0, params)
+    assert total == pytest.approx(_initial_mass_py(A, 0.0, params), rel=1e-13)
     assert total == pytest.approx(float.fromhex("0x1.c59fdc7471194p+23"), rel=1e-12)
     xi = params.tau / 3
-    assert initial_mass(A, xi, params) == _initial_mass_py(A, xi, params)
+    assert initial_mass(A, xi, params) == pytest.approx(_initial_mass_py(A, xi, params), rel=1e-13)
+
+
+def test_initial_mass_matches_the_oracle_past_x():
+    # Qmax = 10 * 0.2^-3 (1249.99... in floats) > X = 200: the moduli q >= X
+    # read q R(0), and the divisor subtraction runs over every q <= Qmax
+    rng = np.random.default_rng(31)
+    A = AvoidingSet.from_members(200, (np.flatnonzero(rng.random(200) < 0.2) + 1).tolist())
+    params = ArcParams.make(0.2, 1.0, 10.0, A.X)
+    assert int(params.Qmax) == 1249
+    for xi in (0.0, params.tau / 3, -params.tau / 3):
+        got = initial_mass(A, xi, params)
+        assert got == pytest.approx(_initial_mass_py(A, xi, params), rel=1e-13)
+    assert initial_mass(A, params.tau / 3, params) == initial_mass(A, -params.tau / 3, params)
 
 
 def test_initial_mass_xi_guard():
     p = ArcParams.make(0.5, 1.0, 10.0, 100)
     with pytest.raises(ValueError):
         initial_mass(AvoidingSet.full(100), p.tau * 2, p)
+    # alpha = 10^-3 gives Qmax = 10^10: refused before any array is built
+    sparse = ArcParams.make(1e-3, 1.0, 10.0, 1000)
+    with pytest.raises(ValueError, match="too large"):
+        initial_mass(AvoidingSet.from_members(1000, [500]), 0.0, sparse)

@@ -134,7 +134,8 @@ def _mass_scan_py(A, cfg, tau):
     alpha = A.alpha
     ns = np.arange(1, X + 1)
     weights = np.where(np.isin(ns, A.member_array()), 1.0 - alpha, -alpha)
-    xis = np.linspace(-tau, tau, cfg.xi_points) if cfg.xi_points > 1 else np.array([0.0])
+    m = cfg.xi_points - 1
+    xis = np.arange(-m, m + 1, 2) * tau / m if m else np.zeros(1)
     denom = alpha * alpha * X * X
     noise = alpha * (1.0 - alpha) * X
     scored = []
@@ -170,6 +171,26 @@ def test_mass_scan_matches_the_fold_loop(X, density, seed, q_cap, xi_points):
     # ties real
     for (q, xi, _), (q_old, _, eta_old) in zip(got, want):
         assert old_eta[q, xi] / q == pytest.approx(eta_old / q_old, rel=1e-11)
+
+
+def test_mass_scan_grid_is_antisymmetric():
+    rng = np.random.default_rng(8)
+    A = AvoidingSet.from_members(4000, (np.flatnonzero(rng.random(4000) < 0.2) + 1).tolist())
+    tau = 0.003
+    for xi_points in (33, 8, 2, 1):
+        m = xi_points - 1
+        ranked = _mass_scan(A, IncrementConfig(q_cap=30, xi_points=xi_points), tau)
+        eta = {(q, xi): e for q, xi, e in ranked}
+        xis = sorted({xi for _, xi in eta})
+        assert len(xis) == xi_points and len(eta) == 29 * xi_points
+        assert xis == ([j * tau / m for j in range(-m, m + 1, 2)] if m else [0.0])
+        assert xis == [-xi for xi in reversed(xis)]
+        for (q, xi), e in eta.items():
+            assert eta[q, -xi] == e  # bitwise: one evaluation per |xi|
+        # a sign tie ranks -|xi| first, then +|xi|, right behind it
+        for i, (q, xi, e) in enumerate(ranked):
+            if xi > 0:
+                assert ranked[i - 1] == (q, -xi, e)
 
 
 def test_increment_step_opt1_fires_for_sparse():

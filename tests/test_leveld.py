@@ -147,6 +147,17 @@ def test_level_d_audit_d_range():
         level_d_audit(np.zeros(50), Q, 0, 0.2)
 
 
+def test_level_d_rejects_complex_f():
+    # the fold is real; casting would drop the imaginary part
+    Q = ModulusFamily.from_members([3, 4, 5])
+    f = np.full(60, 0.5 + 0.5j)
+    with pytest.raises(ValueError, match="real"):
+        level_d_energy(f, Q, 2)
+    with pytest.raises(ValueError, match="real"):
+        level_d_audit(f, Q, 2, 0.2)
+    assert level_d_audit(f.real, Q, 2, 0.2).lhs == level_d_energy(f.real, Q, 2)
+
+
 def test_energy_matches_bruteforce():
     rng = np.random.default_rng(101)
     Q = ModulusFamily.from_members([3, 4, 5, 7])
