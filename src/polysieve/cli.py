@@ -287,8 +287,7 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
     verdicts = []
     for _ in range(int(p["trials"])):
         mask = ctx.rng.random(X) < alpha
-        f = mask.astype(float)
-        rep = leveld.level_d_audit(f, fam, int(p["d"]), alpha)
+        rep = leveld.level_d_audit(mask, fam, int(p["d"]), alpha)
         verdicts.append(
             {
                 "lhs": rep.lhs,

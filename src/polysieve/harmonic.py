@@ -810,16 +810,16 @@ def minor_arc_audit(
 # ---------------------------------------------------------------------------
 
 
-def _mod_masses(A: AvoidingSet, offset: float, q_max: int, xis: Sequence[float]) -> np.ndarray:
-    """out[i, q] = sum over a mod q of |f^(a/q + xi_i)|^2, q = 1..q_max, for
-    f = 1_A - offset on [1, X]: by Parseval q (R(0) + 2 sum_{k >= 1} R(kq)
-    cos 2 pi (kq |xi| mod 1)), or q R(0) for q >= X (xi and -xi get the same
-    number). R(d) = sum_n f(n + d) f(n) comes from one real FFT pair of length
-    2X, zero-padded so it is not circular, in one buffer that holds the
-    weights, then R, since the increment scan can set a run's peak memory."""
-    X = A.X
+def _autocorrelation(f: np.ndarray, offset: float = 0.0) -> np.ndarray:
+    """R(d) = sum_n w(n + d) w(n), d = 0..X-1, for w = f - offset on [1, X],
+    f real, from one real FFT pair of length 2X, zero-padded so it is not
+    circular, in one buffer that holds w, then R: the increment scan can set
+    a run's peak memory. R is the buffer's first half; the second half
+    (R.base[X:], the negative lags) is free for the caller's scratch."""
+    X = len(f)
     buf = np.zeros(2 * X)
-    buf[:X] = A.indicator()[1:] - offset
+    buf[:X] = f
+    buf[:X] -= offset
     spec = np.fft.rfft(buf)
     re, im = spec.real, spec.imag
     re *= re
@@ -827,8 +827,17 @@ def _mod_masses(A: AvoidingSet, offset: float, q_max: int, xis: Sequence[float])
     re += im
     im[:] = 0.0  # spec = |spec|^2
     np.fft.irfft(spec, 2 * X, out=buf)
-    del spec, re, im
-    R, terms = buf[:X], buf[X:]  # R(0..X-1); lags X..2X-1 are scratch
+    return buf[:X]
+
+
+def _mod_masses(A: AvoidingSet, offset: float, q_max: int, xis: Sequence[float]) -> np.ndarray:
+    """out[i, q] = sum over a mod q of |f^(a/q + xi_i)|^2, q = 1..q_max, for
+    f = 1_A - offset on [1, X]: by Parseval q (R(0) + 2 sum_{k >= 1} R(kq)
+    cos 2 pi (kq |xi| mod 1)), or q R(0) for q >= X (xi and -xi get the same
+    number), with R = _autocorrelation(1_A, offset)."""
+    X = A.X
+    R = _autocorrelation(A.indicator()[1:], offset)
+    terms = R.base[X:]
     out = np.full((len(xis), 1), R[0]) * np.arange(q_max + 1)  # q R(0), kept for q >= X
     lags = np.arange(X)
     for i, xi in enumerate(xis):

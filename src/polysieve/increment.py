@@ -21,6 +21,10 @@ from .polycore import IntPoly
 from .search import AvoidingSet, image_values, verify_avoiding
 
 
+LENGTH_C = 1.0  # extraction's target length is LENGTH_C eta X / (lambda(q) T)
+MAX_STEPS = 64  # iterate stops after this many increments
+
+
 def d_exponent(epsilon: float) -> float:
     return 1.0 / ((2.0 + epsilon) * (1.0 + epsilon) + 2.0)
 
@@ -54,10 +58,7 @@ class IncrementConfig:
     opt1_c: Optional[float] = None
     q_cap: int = 64
     xi_points: int = 33
-    length_c: float = 1.0
     X_min: int = 16
-    max_steps: int = 64
-    verify_steps: bool = True
 
     @classmethod
     def desk(cls, **overrides) -> "IncrementConfig":
@@ -118,7 +119,7 @@ def extract_increment(
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     T = max(1.0, abs(xi) * X)
-    raw = cfg.length_c * eta * X / (lambda_q * T)
+    raw = LENGTH_C * eta * X / (lambda_q * T)
     if raw < 1.0:
         raise ValueError(f"target progression length {raw:.3f} < 1: infeasible scale")
     target = math.ceil(raw)
@@ -274,14 +275,13 @@ def increment_step(
     )
     new_ctx = builder.context(q * ctx.ell)
     diagnostics = {"q": q, "xi": xi, "eta": eta, "met": res.met_threshold}
-    if cfg.verify_steps:
-        # holds whenever the input set itself avoided the ell-image; recorded
-        # rather than asserted since the engine accepts arbitrary sets
-        forb = image_values(new_ctx.aux, 1, max(prog.length - 1, 1))
-        ok, viol = verify_avoiding(rescaled, forb)
-        diagnostics["rescaled_avoids_image"] = ok
-        if viol is not None:
-            diagnostics["violation"] = viol
+    # holds whenever the input set itself avoided the ell-image; recorded
+    # rather than asserted since the engine accepts arbitrary sets
+    forb = image_values(new_ctx.aux, 1, max(prog.length - 1, 1))
+    ok, viol = verify_avoiding(rescaled, forb)
+    diagnostics["rescaled_avoids_image"] = ok
+    if viol is not None:
+        diagnostics["violation"] = viol
     return StepOutcome(
         option=option,
         old_alpha=alpha,
@@ -345,13 +345,12 @@ def iterate(
     A: AvoidingSet,
     h: IntPoly,
     cfg: Optional[IncrementConfig] = None,
-    overrides: Optional[dict] = None,
 ) -> IterationTrace:
     """Repeat increment_step, rescaling and growing ell, until a stopping
     rule fires: option 1, X below X_min, alpha above 2/3, ell at X^rho, or no
     increment found."""
     cfg = cfg or IncrementConfig()
-    builder = AuxiliaryBuilder(h, overrides=overrides)
+    builder = AuxiliaryBuilder(h)
     rows: list[TraceRow] = []
     if A.size == 0:
         return IterationTrace(rows, "empty set", cfg)
@@ -359,7 +358,7 @@ def iterate(
     rows.append(TraceRow(0, X, A.alpha, 1, 1, "init"))
     cur = A
     stop = "max steps"
-    while m < cfg.max_steps:
+    while m < MAX_STEPS:
         if cur.alpha > 2.0 / 3.0:
             stop = "alpha above 2/3"
             break

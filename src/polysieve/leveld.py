@@ -9,15 +9,16 @@ energy over reduced fractions be grouped by the minimal cover size.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .harmonic import _fold_fft
+from .harmonic import _autocorrelation
 from .nt import factorize, primes_upto
 
 
@@ -189,7 +190,7 @@ class LevelDReport:
     d: int
     alpha: float
     X: int
-    lhs: float
+    lhs: float  # an exact int when f is a 0/+-1 mask
     rhs: float
     branch1_ok: bool
     branch2_found: bool
@@ -205,28 +206,74 @@ class LevelDReport:
         return self.branch1_ok or self.branch2_found
 
 
+def _small_subsets(
+    members: Sequence[int], bound: int, max_size: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """(U, R_U) for every member set U with |U| <= max_size and product
+    R_U <= bound, the empty set included: one depth-first walk over the
+    members in ascending order, which leaves a branch at the first member
+    that takes the product past bound."""
+    ms = sorted(m for m in members if m <= bound)
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def walk(start: int, U: tuple[int, ...], R: int) -> None:
+        out.append((U, R))
+        if len(U) == max_size:
+            return
+        for i in range(start, len(ms)):
+            if R * ms[i] > bound:
+                break
+            walk(i + 1, U + (ms[i],), R * ms[i])
+
+    walk(0, (), 1)
+    return out
+
+
+def _elementary(members: Sequence[int], d: int) -> int:
+    """e_d(m_1 - 1, ..., m_n - 1) in Python ints. The first (distinguished)
+    member, which can have millions of bits, is folded in once at the end:
+    e_d = e_d(rest) + (m_0 - 1) e_{d-1}(rest)."""
+    e = [1] + [0] * d
+    for m in islice(members, 1, None):
+        x = m - 1
+        for j in range(d, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[d] + (members[0] - 1) * e[d - 1]
+
+
 def level_d_energy(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
     """Left side of the level-d inequality: sum over |S| = d and residues a
-    mod R_S with no member of S dividing a, of |f^(a/R_S)|^2; f is real."""
+    mod R_S with no member of S dividing a, of |f^(a/R_S)|^2; f is real.
+
+    Inclusion-exclusion over the members dividing a, then Parseval, give
+    R(0) e_d(m_i - 1) + 2 sum_U (-1)^(d-|U|) C(n-|U|, d-|U|) R_U
+    sum_{k>=1} R(k R_U), R the autocorrelation of f on [1, X] and U over the
+    member sets of at most d members with R_U <= X (_small_subsets); every
+    larger U has no lag k R_U < X. For a 0/+-1 mask R is rounded to
+    integers and the energy is an exact int; any other f is summed in
+    Fractions over the float R and rounded once to float, which raises
+    OverflowError out of float range."""
     if np.iscomplexobj(f):
         raise ValueError("f must be real")
-    n_members = len(Q.members)
-    if not 1 <= d <= n_members:
+    n = len(Q.members)
+    if not 1 <= d <= n:
         raise ValueError("d out of range")
-    if math.comb(n_members, d) > 200000:
-        raise ValueError("family too large to enumerate level-d subsets")
-    positions = np.arange(1, len(f) + 1)  # f[0] sits at position 1
-    total = 0.0
-    for combo in combinations(range(n_members), d):
-        R = math.prod(Q.members[i] for i in combo)
-        if R > 10**7:
-            raise ValueError("subset modulus too large to enumerate residues")
-        hat = _fold_fft(positions, f, R)
-        keep = np.ones(R, dtype=bool)
-        for i in combo:
-            keep[:: Q.members[i]] = False  # multiples of the member, incl. 0
-        total += float(np.sum(np.abs(hat[keep]) ** 2))
-    return total
+    R = _autocorrelation(f)
+    exact = bool(np.isin(f, (-1, 0, 1)).all())
+    if exact:
+        rounded = np.rint(R)
+        R -= rounded
+        if np.abs(R, out=R).max() > 0.25:
+            raise ArithmeticError("autocorrelation of an integer mask is not near integers")
+        R = rounded.astype(np.int64)
+        lag0, tail = int(R[0]), lambda r: int(R[r::r].sum())
+    else:
+        lag0, tail = Fraction(R[0]), lambda r: Fraction(math.fsum(R[r::r]))
+    total = lag0 * _elementary(Q.members, d)
+    for U, r in _small_subsets(Q.members, len(f), d):
+        k = len(U)
+        total += (-1) ** (d - k) * 2 * math.comb(n - k, d - k) * r * tail(r)
+    return total if exact else float(total)
 
 
 def level_d_energy_bruteforce(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
@@ -255,8 +302,13 @@ def level_d_audit(
 ) -> LevelDReport:
     """Evaluate both branches of the level-d dichotomy for real |f| <= 1 on [X].
 
-    Hypotheses are checked and reported; the audit still runs when they fail
-    so desk-scale behavior is observable."""
+    Branch 2 looks, size by size, for a member set S whose progressions mod
+    R_S hold a mean of |f| above 2^|S| alpha. A set with R_S > X puts at
+    most one point in each progression, so its best mean is max|f|; only
+    the sets with R_S <= X (_small_subsets) are folded, and a size whose
+    threshold reaches max|f| ends the search. Hypotheses are checked and
+    reported; the audit still runs when they fail so desk-scale behavior
+    is observable."""
     f = np.asarray(f)
     X = len(f)
     if np.max(np.abs(f)) > 1 + 1e-12:
@@ -273,29 +325,34 @@ def level_d_audit(
     rhs = alpha**2 * X**2 * (c0 * L / d) ** d
     # density alternative: average of |f| over progressions mod R_S
     absf = np.abs(f)
+    top = float(absf.max())
+    n = len(Q.members)
+    sizes = [s for s in range(1, min(n, int(2.0 * L)) + 1) if 2.0**s * alpha < top]
+    small = _small_subsets(Q.members, X, len(sizes))
+    positions = np.arange(1, X + 1)
     found = False
     bS = br = bavg = bthr = None
-    max_size = min(len(Q.members), int(2.0 * L))
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(len(Q.members)), size):
-            R = math.prod(Q.members[i] for i in combo)
-            thr = 2.0**size * alpha
-            if R > X:
-                avg = float(absf.max())
-                r_at = int(np.argmax(absf)) + 1
-                means = None
-            else:
-                positions = np.arange(1, X + 1) % R
-                sums = np.bincount(positions, weights=absf, minlength=R)
-                counts = np.bincount(positions, minlength=R)
-                means = sums / np.maximum(counts, 1)
-                r_at = int(np.argmax(means))
-                avg = float(means[r_at])
-            if avg > thr:
+    for size in sizes:
+        thr = 2.0**size * alpha
+        folded = [(U, R) for U, R in small if len(U) == size]
+        if len(folded) < math.comb(n, size):  # some S of this size has R_S > X
+            found = True
+            bS = heapq.nlargest(size, Q.members)
+            br = int(np.argmax(absf)) + 1
+            bavg = top
+            bthr = thr
+            break
+        for U, R in folded:
+            pos = positions % R
+            sums = np.bincount(pos, weights=absf, minlength=R)
+            counts = np.bincount(pos, minlength=R)
+            means = sums / np.maximum(counts, 1)
+            r_at = int(np.argmax(means))
+            if means[r_at] > thr:
                 found = True
-                bS = [Q.members[i] for i in combo]
+                bS = list(U)
                 br = r_at
-                bavg = avg
+                bavg = float(means[r_at])
                 bthr = thr
                 break
         if found:

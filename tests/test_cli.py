@@ -82,6 +82,16 @@ def test_leveld_family_reads_config_constants(tmp_path):
     assert _family_size(tmp_path, "v2_wide", 2, {"C2": 1000.0, "C3": 1e-6}) == 169
 
 
+def test_leveld_audits_a_built_family(tmp_path):
+    # variant 1's 203 members at X = 600: the energy is an exact integer
+    leveld = {"name": "leveld", "params": {"alpha": 0.2, "trials": 1, "variant": 1}}
+    run_experiment(ExperimentConfig.from_dict({**MINIMAL, "tasks": [leveld]}), tmp_path)
+    result = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[-1])["result"]
+    (trial,) = result["trials"]
+    assert type(trial["lhs"]) is int and trial["lhs"] > 0
+    assert trial["dichotomy_ok"]
+
+
 def _mass(tmp_path, sub, constants):
     cfg = ExperimentConfig.from_dict(
         {**MINIMAL, "constants": constants, "tasks": [{"name": "mass", "params": {}}]}

@@ -1,8 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polysieve.harmonic import _fold_fft
 from polysieve.leveld import (
     ModulusFamily,
     build_family,
@@ -13,7 +17,7 @@ from polysieve.leveld import (
     lift_fraction,
     minimal_cover,
 )
-from polysieve.nt import factorize
+from polysieve.nt import factorize, primes_upto
 
 
 def test_build_family_variant1_example():
@@ -190,3 +194,156 @@ def test_family_serialization():
     assert {"p": 11, "b": 2} in blob["members"][0:1][0] or any(
         {"p": 11, "b": 2} in m for m in blob["members"]
     )
+
+
+def _level_d_energy_fft(f, Q, d):
+    """Reference: one real FFT of f folded mod R_S for every d-subset S."""
+    n_members = len(Q.members)
+    positions = np.arange(1, len(f) + 1)
+    total = 0.0
+    for combo in combinations(range(n_members), d):
+        R = math.prod(Q.members[i] for i in combo)
+        hat = _fold_fft(positions, f, R)
+        keep = np.ones(R, dtype=bool)
+        for i in combo:
+            keep[:: Q.members[i]] = False  # multiples of the member, incl. 0
+        total += float(np.sum(np.abs(hat[keep]) ** 2))
+    return total
+
+
+def _branch2_py(f, Q, alpha):
+    """Reference for branch 2: every member set, size by size in index
+    order, folded or (R_S > X) read as max|f|. Returns (found, size)."""
+    absf = np.abs(f)
+    X = len(f)
+    L = math.log(1.0 / alpha)
+    for size in range(1, min(len(Q.members), int(2.0 * L)) + 1):
+        for combo in combinations(range(len(Q.members)), size):
+            R = math.prod(Q.members[i] for i in combo)
+            if R > X:
+                avg = float(absf.max())
+            else:
+                positions = np.arange(1, X + 1) % R
+                sums = np.bincount(positions, weights=absf, minlength=R)
+                counts = np.bincount(positions, minlength=R)
+                avg = float(np.max(sums / np.maximum(counts, 1)))
+            if avg > 2.0**size * alpha:
+                return True, size
+    return False, None
+
+
+def _prime_power_family(count):
+    # pairwise coprime: one power per prime, the primes below 8 squared
+    ps = primes_upto(200)[:count]
+    return ModulusFamily.from_members([p * p if p < 8 else p for p in ps])
+
+
+@pytest.mark.parametrize("d, count", [(2, 30), (3, 18)])
+def test_energy_matches_the_fft_loop(d, count):
+    # the per-subset FFT costs e_d(members) points: 30 members at d = 3
+    # would take about half a minute, so d = 3 runs on the first 18
+    Q = _prime_power_family(count)
+    rng = np.random.default_rng(17 + d)
+    for density in (0.05, 0.3):
+        f = (rng.random(2000) < density).astype(float)
+        lhs = level_d_energy(f, Q, d)
+        ref = _level_d_energy_fft(f, Q, d)
+        assert type(lhs) is int and lhs == round(ref)
+        assert ref == pytest.approx(lhs, rel=1e-12)
+
+
+_PRIMES_64 = primes_upto(64)
+
+
+@st.composite
+def _small_families(draw):
+    # pairwise-coprime prime powers <= 64, kept few and small enough at
+    # d = 3 that the brute-force oracle visits a few thousand fractions
+    d = draw(st.integers(1, 3))
+    cap = 64 if d < 3 else 16
+    pool = [p for p in _PRIMES_64 if p <= cap]
+    most = 3 if d < 3 else 4
+    primes = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=most, unique=True))
+    members = []
+    for p in primes:
+        top = int(math.log(cap, p) + 1e-9)
+        members.append(p ** draw(st.integers(1, top)))
+    return members, d
+
+
+@given(
+    _small_families(),
+    st.integers(1, 120),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(([64, 27, 25], 2), 40, True, 0)  # members at or above X
+@example(([2, 3], 2), 60, False, 1)
+@settings(max_examples=100, deadline=None)
+def test_energy_matches_bruteforce_property(family, X, mask, seed):
+    members, d = family
+    Q = ModulusFamily.from_members(members)
+    rng = np.random.default_rng(seed)
+    f = rng.integers(-1, 2, X).astype(float) if mask else rng.uniform(-1, 1, X)
+    if seed % 3 == 0 and not mask:
+        f[:] = f[0]  # constant f: the reduced energy nearly vanishes
+    lhs = level_d_energy(f, Q, d)
+    brute = level_d_energy_bruteforce(f, Q, d)
+    if mask:
+        assert type(lhs) is int and lhs == round(brute)
+    else:
+        # the closed form is exact over the float autocorrelation, whose
+        # rounding is relative to the unreduced mass sum_S R_S sum f^2, not
+        # to the reduced energy it leaves after cancellation
+        unreduced = sum(math.prod(S) for S in combinations(members, d)) * float(f @ f)
+        assert lhs == pytest.approx(brute, rel=1e-12, abs=1e-14 * unreduced)
+
+
+def test_branch2_matches_the_loop_over_every_subset():
+    rng = np.random.default_rng(31)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for trial in range(150):
+        ps = rng.choice(primes, rng.integers(1, 7), replace=False)
+        Q = ModulusFamily.from_members([int(p) ** int(rng.integers(1, 4)) for p in ps])
+        X = int(rng.integers(20, 400))
+        alpha = float(rng.uniform(0.02, 0.45))
+        if trial % 2:
+            f = (rng.random(X) < alpha).astype(float)
+        else:
+            f = rng.uniform(0, 1, X) * (rng.random(X) < 0.5)
+        rep = level_d_audit(f, Q, 1, alpha)
+        size = len(rep.branch2_S) if rep.branch2_found else None
+        assert (rep.branch2_found, size) == _branch2_py(f, Q, alpha)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_audit_runs_on_a_built_family(d):
+    # variant 1 at alpha = 0.2: 203 members, the distinguished one 6^10.
+    # A per-subset FFT would fold mod 6^10 * 1249 for one pair and visit
+    # 1,373,701 triples; the closed form reads only the sets with product
+    # at most X = 10^4
+    fam = build_family(1, 0.2, 1.0)
+    assert len(fam.members) == 203
+    f = (np.random.default_rng(d).random(10**4) < 0.2).astype(float)
+    rep = level_d_audit(f, fam, d, 0.2)
+    assert type(rep.lhs) is int and rep.lhs > 0
+    assert rep.branch2_found and rep.branch2_S == [fam.distinguished]
+    assert rep.dichotomy_ok
+
+
+def test_energy_rejects_an_autocorrelation_off_the_integers(monkeypatch):
+    import polysieve.leveld as leveld
+
+    exact = leveld._autocorrelation
+    monkeypatch.setattr(leveld, "_autocorrelation", lambda f: exact(f) + 0.3)
+    with pytest.raises(ArithmeticError):
+        level_d_energy(np.ones(50), ModulusFamily.from_members([3, 4]), 1)
+
+
+def test_real_energy_out_of_float_range_raises():
+    # a member past float range, as variant 2's distinguished member
+    Q = ModulusFamily(0, [2**1100, 3], [{2: 1100}, {3: 1}], 0.0, 3.0)
+    f = np.full(20, 0.5)
+    with pytest.raises(OverflowError):
+        level_d_energy(f, Q, 1)
+    assert level_d_energy(np.ones(20), Q, 1) > 2**1100  # a mask stays exact
