@@ -102,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown constants: {sorted(bad)}")
         tasks = []
         for i, t in enumerate(raw["tasks"]):
-            extra = set(t) - {"name", "params", "required"}
+            extra = set(t) - {"name", "params"}
             if extra:
                 raise ConfigError(f"task {i}: unknown keys {sorted(extra)}")
             if "name" not in t:
@@ -115,7 +115,7 @@ class ExperimentConfig:
             bad = set(params) - set(schema)
             if bad:
                 raise ConfigError(f"task {i} ({name}): unknown params {sorted(bad)}")
-            tasks.append({"name": name, "params": params, "required": bool(t.get("required", False))})
+            tasks.append({"name": name, "params": params})
         preset = raw.get("preset", "desk")
         if preset not in ("desk", "paper"):
             raise ConfigError("preset must be 'desk' or 'paper'")
@@ -192,6 +192,10 @@ class RunContext:
 class TaskDef:
     params: dict  # name -> default (None means required); TASKS is the only place defaults live
     run: Callable[[RunContext, dict], dict]
+    # result -> True (passed), False (failed) or None (not decided); a pure
+    # function of the recorded fields, so a parsed record gives the same
+    # verdict. None for a task whose check cannot fail.
+    verdict: Optional[Callable[[dict], Optional[bool]]] = None
 
 
 def _fill(params: dict, schema: dict, task: str) -> dict:
@@ -221,18 +225,9 @@ def _task_check(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_aux(ctx: RunContext, p: dict) -> dict:
-    from .intersective import coefficient_bound
-
-    rows = []
-    bound_ok = True
-    r_h = coefficient_bound(ctx.normalized)
-    k = ctx.normalized.degree
-    for ell in range(1, int(p["ell_max"]) + 1):
-        cctx = ctx.builder.context(ell)
-        ok = cctx.aux.max_abs_coeff() <= r_h * ell ** (k - 1)
-        bound_ok = bound_ok and ok
-        rows.append(cctx.to_jsonable())
-    return {"count": len(rows), "coefficient_bound_ok": bound_ok, "contexts": rows}
+    # the builder raises on a context past the coefficient bound
+    rows = [ctx.builder.context(ell).to_jsonable() for ell in range(1, int(p["ell_max"]) + 1)]
+    return {"count": len(rows), "contexts": rows}
 
 
 def _task_sieve(ctx: RunContext, p: dict) -> dict:
@@ -370,12 +365,31 @@ def _task_weight(ctx: RunContext, p: dict) -> dict:
     return {"audit": audit.to_jsonable(), "mass": w.mass}
 
 
+# ---------------------------------------------------------------------------
+# verdicts: weight has none (its fitted C is the largest ratio, so nothing can
+# exceed it) and aux has none (the builder raises past the coefficient bound)
+# ---------------------------------------------------------------------------
+
+GAUSS_C_MAX = 10.0  # largest fitted C in |S(a, q)| <= C q^0.6; acceptance criterion 5's bound
+
+
+def _leveld_verdict(result: dict) -> Optional[bool]:
+    """The dichotomy holds on every trial whose hypotheses hold; None when
+    no trial meets them."""
+    decided = [t["dichotomy_ok"] for t in result["trials"] if t["hypotheses_ok"]]
+    return all(decided) if decided else None
+
+
 TASKS: dict[str, TaskDef] = {
     "f_eval": TaskDef({"x": 0.0, "log_x": 0.0, "epsilon": 1.0}, _task_f_eval),
     "check": TaskDef({"prime_bound": 1000}, _task_check),
     "aux": TaskDef({"ell_max": 30}, _task_aux),
-    "sieve": TaskDef({"U": 10.0, "ell": 1}, _task_sieve),
-    "gauss": TaskDef({"q_max": 100, "U": 100.0, "ell": 1, "all_a": False}, _task_gauss),
+    "sieve": TaskDef({"U": 10.0, "ell": 1}, _task_sieve, lambda r: r["density_identity_exact"]),
+    "gauss": TaskDef(
+        {"q_max": 100, "U": 100.0, "ell": 1, "all_a": False},
+        _task_gauss,
+        lambda r: bool(r["fitted_c_vs_q0.6"] <= GAUSS_C_MAX),
+    ),
     "mass": TaskDef({"set": {"kind": "multiples", "m": 3}, "x": 300, "xi": 0.0}, _task_mass),
     "leveld": TaskDef(
         {
@@ -387,11 +401,18 @@ TASKS: dict[str, TaskDef] = {
             "variant": 0,
         },
         _task_leveld,
+        _leveld_verdict,
     ),
     "step": TaskDef({"set": {"kind": "greedy"}, "x": 2000}, _task_step),
-    "iterate": TaskDef({"set": {"kind": "greedy"}, "x": 2000}, _task_iterate),
+    "iterate": TaskDef(
+        {"set": {"kind": "greedy"}, "x": 2000}, _task_iterate, lambda r: r["invariants_ok"]
+    ),
     "dmax": TaskDef({"x_max": 60, "mode": "all", "U": 2.0}, _task_dmax),
-    "greedy": TaskDef({"x_values": [1000, 10000]}, _task_greedy),
+    "greedy": TaskDef(
+        {"x_values": [1000, 10000]},
+        _task_greedy,
+        lambda r: all(row["verified"] for row in r["rows"]),
+    ),
     "weight": TaskDef({"depth": 24, "resolution": 2**16, "t_max": 400.0}, _task_weight),
 }
 
@@ -403,14 +424,14 @@ TASKS: dict[str, TaskDef] = {
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Execute tasks in order; write records.jsonl plus CSV side files.
-    Returns a summary dict; 'failed_required' lists required tasks whose
-    result carried a falsy 'passed' field."""
+    Returns a summary dict; 'failed_required' lists the tasks whose verdict
+    is False."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config)
     records = [{"config": config.to_jsonable(), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}]
     failed_required = []
-    for i, task in enumerate(config.tasks):
+    for task in config.tasks:
         name = task["name"]
         t0 = time.perf_counter()
         result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
@@ -418,7 +439,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         records.append(
             {"task": name, "params": task["params"], "result": result, "duration_ms": duration}
         )
-        if task["required"] and result.get("passed") is False:
+        verdict = TASKS[name].verdict
+        if verdict is not None and verdict(result) is False:
             failed_required.append(name)
     text = "\n".join(dumps_record(r) for r in records) + "\n"
     (out / "records.jsonl").write_text(text, encoding="utf-8", newline="\n")
@@ -431,39 +453,28 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     }
 
 
+VERDICT_WORDS = {True: "passed", False: "FAILED", None: "not decided"}
+
+
 def emit_report(run_dir: str | Path) -> str:
-    """Aggregate records.jsonl in run_dir into summary.md plus plot CSVs."""
+    """Aggregate records.jsonl in run_dir into summary.md: one line per task
+    record, then the verdict of each record whose task has one."""
     run = Path(run_dir)
     rec_path = run / "records.jsonl"
     if not rec_path.exists():
         raise FileNotFoundError(f"no records.jsonl under {run}")
     records = [json.loads(line) for line in rec_path.read_text(encoding="utf-8").splitlines() if line]
-    audits = []
     lines = ["# Run summary", ""]
-    task_records = [r for r in records if "task" in r]
-    if not task_records:
-        lines.append("no audits")
-    for rec in task_records:
+    audits = []
+    for rec in records:
+        if "task" not in rec:
+            continue
         name = rec["task"]
-        result = rec["result"]
-        if name == "gauss":
-            audits.append((name, f"fitted C vs q^0.6 = {result['fitted_c_vs_q0.6']}"))
-        elif name == "weight":
-            audits.append((name, f"fitted decay C = {result['audit']['fitted_c']}"))
-        elif name == "leveld":
-            ok = all(t["dichotomy_ok"] or not t["hypotheses_ok"] for t in result["trials"])
-            audits.append((name, f"dichotomy honored: {ok}"))
-        elif name == "iterate":
-            audits.append((name, f"trace invariants: {result['invariants_ok']}"))
         lines.append(f"- **{name}**: {json.dumps(to_jsonable(rec['result']))[:200]}")
-    if audits:
-        lines.append("")
-        lines.append("## Audits")
-        for name, desc in audits:
-            lines.append(f"- {name}: {desc}")
-    elif task_records:
-        lines.append("")
-        lines.append("no audits")
+        verdict = TASKS[name].verdict
+        if verdict is not None:
+            audits.append(f"- {name}: {VERDICT_WORDS[verdict(rec['result'])]}")
+    lines += ["", "## Audits", *audits] if audits else ["", "no audits"]
     text = "\n".join(lines) + "\n"
     (run / "summary.md").write_text(text, encoding="utf-8", newline="\n")
     return text

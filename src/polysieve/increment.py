@@ -109,12 +109,10 @@ def extract_increment(
     xi: float,
     eta: float,
     lambda_q: int,
-    cfg: Optional[IncrementConfig] = None,
 ) -> ExtractResult:
     """Scan all subprogressions of difference lambda(q) and target length
     ceil(c eta X / (lambda(q) T)) tiling [X]; return the first meeting
     density >= (1 + eta/20) alpha, else the densest one flagged unmet."""
-    cfg = cfg or IncrementConfig()
     X = A.X
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -226,7 +224,7 @@ def increment_step(
         eta_c = min(0.999, eta_raw)
         lam = builder.lambda_of(q_c)
         try:
-            attempt = extract_increment(A, q_c, xi_c, eta_c, lam, cfg)
+            attempt = extract_increment(A, q_c, xi_c, eta_c, lam)
         except ValueError:
             continue
         if attempt.progression is None:

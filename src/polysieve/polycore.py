@@ -152,14 +152,23 @@ class IntPoly:
         # 2 + ceil(max |c_i| / |lead|), in integers so that no float overflows
         return 2 - (-max(abs(c) for c in self.coeffs[:-1]) // abs(self.leading))
 
+    def last_nonpositive(self, lo: int = 1) -> int:
+        """Largest integer n >= lo with self(n) <= 0, or lo - 1 when there is
+        none; the leading coefficient must be positive.
+
+        Exact: no root reaches the Cauchy bound, so one downward scan from
+        it finds n.
+        """
+        for n in range(self.cauchy_bound(), lo - 1, -1):
+            if self(n) <= 0:
+                return n
+        return lo - 1
+
     def positive_for_all_n_from(self, n0: int = 1) -> bool:
         """True iff self(n) > 0 for every integer n >= n0 (exact check)."""
-        if self.is_zero:
+        if self.is_zero or self.leading < 0:
             return False
-        if self.leading < 0:
-            return False
-        bound = max(n0, self.cauchy_bound() + 1)
-        return all(self(n) > 0 for n in range(n0, bound + 1))
+        return self.last_nonpositive(n0) < n0
 
     def to_coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -186,23 +195,13 @@ def poly_eval(h: IntPoly, n: int) -> int:
 def normalize_positive(h: IntPoly) -> tuple[IntPoly, int]:
     """Minimal shift C >= 0 with g = h(n + C) and g, g', g'' > 0 on n >= 1.
 
-    Positivity is decided exactly: beyond the Cauchy root bound a polynomial
-    with positive leading coefficient has no sign changes, so it suffices to
-    test integers up to that bound.
+    g^(i)(n) = h^(i)(n + C), so C is the largest n >= 1 where h, h' or h''
+    is <= 0, or 0 when there is none.
     """
     if h.degree < 2:
         raise ValueError("normalize_positive requires degree >= 2")
     if h.leading <= 0:
         raise ValueError("normalize_positive requires a positive leading coefficient")
     d1 = h.derivative()
-    d2 = d1.derivative()
-    cap = max(h.cauchy_bound(), d1.cauchy_bound(), d2.cauchy_bound()) + 2
-    for c in range(cap + 1):
-        g = h.shift(c)
-        if (
-            g.positive_for_all_n_from(1)
-            and g.derivative().positive_for_all_n_from(1)
-            and g.derivative().derivative().positive_for_all_n_from(1)
-        ):
-            return g, c
-    raise AssertionError("no positivity shift found below the root bound")
+    c = max(h.last_nonpositive(), d1.last_nonpositive(), d1.derivative().last_nonpositive())
+    return h.shift(c), c

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polysieve import harmonic
 from polysieve.cli import (
     TASKS,
     ConfigError,
     ExperimentConfig,
+    RunContext,
+    _fill,
     dumps_record,
     emit_report,
     main,
@@ -18,6 +21,9 @@ from polysieve.cli import (
     to_jsonable,
 )
 from polysieve.harmonic import smooth_weight_build
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_CONFIG = ROOT / "configs" / "default.json"
 
 MINIMAL = {
     "polynomial": [0, 0, 1],
@@ -43,6 +49,10 @@ def test_config_strictness():
             ExperimentConfig.from_dict({**MINIMAL, "constants": {key: 2}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"polynomial": [0, 1]})
+    with pytest.raises(ConfigError):  # every verdict gates; there is no opt-in key
+        ExperimentConfig.from_dict(
+            {**MINIMAL, "tasks": [{"name": "gauss", "params": {}, "required": True}]}
+        )
 
 
 def test_f_eval_task_matches_example(tmp_path):
@@ -152,6 +162,51 @@ def test_report(tmp_path):
     assert (tmp_path / "gauss.csv").read_text().startswith("q,a,magnitude,sqrt_q")
 
 
+def test_failed_verdict_exits_nonzero(tmp_path, monkeypatch, capsys):
+    # a Gauss sum far above C q^0.6 fails the gauss audit
+    monkeypatch.setattr(harmonic, "gauss_sum_sweep", lambda *a, **k: [(3, 1, 1e9)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MINIMAL, "tasks": [{"name": "gauss"}, {"name": "sieve"}]}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert json.loads(capsys.readouterr().out)["failed_required"] == ["gauss"]
+    summary = emit_report(tmp_path / "run")
+    assert "- gauss: FAILED\n" in summary and "- sieve: passed\n" in summary
+    assert main(["gauss", "--out", str(tmp_path / "sub")]) == 1
+
+
+def test_default_config_verdicts(tmp_path):
+    assert main(["run", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]) == 0
+    audits = emit_report(tmp_path).split("## Audits\n")[1].splitlines()
+    assert sorted(audits) == [
+        "- gauss: passed",
+        "- greedy: passed",
+        "- iterate: passed",
+        "- leveld: not decided",
+        "- sieve: passed",
+    ]
+
+
+def test_verdicts_survive_json_round_trip():
+    cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+    ctx = RunContext(cfg)
+    checked = set()
+    for task in cfg.tasks:
+        name, verdict = task["name"], TASKS[task["name"]].verdict
+        result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
+        if verdict is not None:
+            value = verdict(result)
+            assert value is None or type(value) is bool
+            assert value == verdict(json.loads(dumps_record(result)))
+            checked.add(name)
+    assert checked == {"gauss", "greedy", "iterate", "sieve", "leveld"}
+    # leveld decides only on trials whose hypotheses hold
+    leveld = TASKS["leveld"].verdict
+    trial = {"hypotheses_ok": True, "dichotomy_ok": False}
+    assert leveld({"trials": [trial]}) is False
+    assert leveld({"trials": [{**trial, "dichotomy_ok": True}]}) is True
+    assert leveld({"trials": [{**trial, "hypotheses_ok": False}]}) is None
+
+
 def test_report_empty_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         emit_report(tmp_path / "nothing")
@@ -248,13 +303,9 @@ def test_big_integers_as_strings(tmp_path):
 
 
 def test_bundled_default_config_parses():
-    path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
-    cfg = ExperimentConfig.load(path)
+    cfg = ExperimentConfig.load(DEFAULT_CONFIG)
     assert cfg.polynomial == [0, 0, 1]
     assert cfg.tasks
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
@@ -262,13 +313,11 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("gauss_cancellation.py", ["30"], "q,a,magnitude,sqrt_q,ratio_to_q06\n"),
         ("extremal_table.py", ["40", "30"], "X,D,witness\n"),
-        ("run_default.py", [None], "wrote 12 records to"),
     ],
-    ids=["gauss_cancellation", "extremal_table", "run_default"],
+    ids=["gauss_cancellation", "extremal_table"],
 )
-def test_scripts_run(tmp_path, script, args, expected):
-    """Each script runs as users run it and prints its header or summary."""
-    args = [str(tmp_path / "run") if a is None else a for a in args]
+def test_scripts_run(script, args, expected):
+    """Each script runs as users run it and prints its header."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(

@@ -87,6 +87,42 @@ def test_normalize_positive_minimality(fixtures):
         assert not ok
 
 
+def _positive_from_scan(p, n0):
+    """Reference: test every integer from n0 up past the Cauchy bound."""
+    if p.is_zero or p.leading < 0:
+        return False
+    return all(p(n) > 0 for n in range(n0, max(n0, p.cauchy_bound() + 1) + 1))
+
+
+def _normalize_positive_loop(h):
+    """Reference: try each shift c in turn until g, g', g'' are positive."""
+    d1 = h.derivative()
+    cap = max(h.cauchy_bound(), d1.cauchy_bound(), d1.derivative().cauchy_bound()) + 2
+    for c in range(cap + 1):
+        g = h.shift(c)
+        if all(_positive_from_scan(p, 1) for p in (g, g.derivative(), g.derivative().derivative())):
+            return g, c
+    raise AssertionError("no positivity shift found below the root bound")
+
+
+@given(
+    st.lists(st.integers(-12, 12), min_size=2, max_size=4),
+    st.integers(1, 5),
+    st.integers(-3, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_positivity_matches_loop(lower, lead, n0):
+    h = IntPoly.of([*lower, lead])
+    assert normalize_positive(h) == _normalize_positive_loop(h)
+    for p in (h, h.derivative(), IntPoly.of([*lower, -lead]), IntPoly((0,))):
+        assert p.positive_for_all_n_from(n0) == _positive_from_scan(p, n0)
+
+
+def test_normalize_positive_matches_loop(fixtures):
+    for h in fixtures.values():
+        assert normalize_positive(h) == _normalize_positive_loop(h)
+
+
 @given(small_coeffs, st.integers(-20, 20), st.integers(1, 10), st.integers(-30, 30))
 @settings(max_examples=150, deadline=None)
 def test_compose_affine_matches_eval(coeffs, r, ell, n):
