@@ -213,10 +213,11 @@ def _fill(params: dict, schema: dict, task: str) -> dict:
 
 
 def _task_f_eval(ctx: RunContext, p: dict) -> dict:
+    # 0.0 means "from the config": log_x from x, epsilon from the constants
     log_x = float(p["log_x"]) if p["log_x"] else None
-    x = float(p["x"])
-    value = increment.F_eval(x, float(p["epsilon"]), log_x=log_x)
-    return {"value": value, "d_exponent": increment.d_exponent(float(p["epsilon"]))}
+    epsilon = float(p["epsilon"]) or ctx.config.increment_config().epsilon
+    value = increment.F_eval(float(p["x"]), epsilon, log_x=log_x)
+    return {"value": value, "d_exponent": increment.d_exponent(epsilon)}
 
 
 def _task_check(ctx: RunContext, p: dict) -> dict:
@@ -273,10 +274,13 @@ def _task_mass(ctx: RunContext, p: dict) -> dict:
 def _task_leveld(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     alpha = float(p["alpha"])
-    if int(p["variant"]) in (1, 2):
+    variant = int(p["variant"])
+    if variant not in (0, 1, 2):
+        raise ConfigError(f"leveld variant must be 0, 1 or 2, not {variant}")
+    if variant:
         cfg = ctx.config.increment_config()
         consts = {"C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3}
-        fam = leveld.build_family(int(p["variant"]), alpha, cfg.epsilon, consts)
+        fam = leveld.build_family(variant, alpha, cfg.epsilon, consts)
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []
@@ -381,7 +385,7 @@ def _leveld_verdict(result: dict) -> Optional[bool]:
 
 
 TASKS: dict[str, TaskDef] = {
-    "f_eval": TaskDef({"x": 0.0, "log_x": 0.0, "epsilon": 1.0}, _task_f_eval),
+    "f_eval": TaskDef({"x": 0.0, "log_x": 0.0, "epsilon": 0.0}, _task_f_eval),
     "check": TaskDef({"prime_bound": 1000}, _task_check),
     "aux": TaskDef({"ell_max": 30}, _task_aux),
     "sieve": TaskDef({"U": 10.0, "ell": 1}, _task_sieve, lambda r: r["density_identity_exact"]),

@@ -207,7 +207,7 @@ def increment_step(
     X = A.X
     if X < cfg.X_min:
         raise ValueError(f"X = {X} below X_min = {cfg.X_min}")
-    builder = ctx.builder or AuxiliaryBuilder(ctx.base)
+    builder = ctx.builder
     alpha = A.alpha
     if alpha <= cfg.opt1_threshold(X):
         return StepOutcome(
@@ -379,6 +379,4 @@ def iterate(
         ell *= q
         cur = out.rescaled
         rows.append(TraceRow(m, cur.X, cur.alpha, q, ell, out.option))
-    else:
-        stop = "max steps"
     return IterationTrace(rows, stop, cfg)

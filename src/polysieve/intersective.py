@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from functools import lru_cache
+from typing import Union
 
 from .nt import crt, divisors, factorize, primes_upto, resultant, v_p
 from .polycore import IntPoly
@@ -22,7 +23,7 @@ class PrecisionExhausted(RuntimeError):
 
 
 class MissingRootError(ValueError):
-    """No p-adic root exists (or was chosen) for a prime dividing ell."""
+    """No p-adic root exists for a prime dividing ell."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +89,15 @@ def _primitive(a: list[Fraction]) -> IntPoly:
     return IntPoly(tuple(ints))
 
 
-def squarefree_factors(h: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun decomposition: pairwise-coprime primitive factors with multiplicities."""
+@lru_cache(maxsize=64)
+def squarefree_factors(h: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
+    """Yun decomposition: pairwise-coprime primitive factors with multiplicities.
+
+    Cached per polynomial: a tower asks for it at every (prime, precision)."""
     if h.is_zero:
         raise ValueError("zero polynomial")
     if h.degree == 0:
-        return []
+        return ()
     f = [Fraction(c) for c in h.coeffs]
     g = _q_gcd(f, _q_deriv(f))
     c, _ = _q_div(f, g)
@@ -111,7 +115,7 @@ def squarefree_factors(h: IntPoly) -> list[tuple[IntPoly, int]]:
         i += 1
         if i > h.degree + 2:
             raise AssertionError("squarefree decomposition did not terminate")
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,66 +190,35 @@ def _integer_roots(f: IntPoly) -> list[int]:
     return sorted(roots)
 
 
-def _divide_out_root(f: IntPoly, r: int) -> IntPoly:
-    """Exact division of f by (x - r)."""
-    out = []
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    assert out[-1] == 0, "not a root"
-    quot = out[:-1]
-    return IntPoly(tuple(reversed(quot)))
-
-
 class _SquarefreeRootFinder:
     """Digit-by-digit exploration of Z_p roots of a squarefree polynomial.
 
     Each tree node is the ball {z = a (mod p^d)}. A node terminates when the
-    strong Hensel criterion v(f(a)) > 2*v(f'(a)) holds with d > v(f'(a)): the
-    node then contains exactly one root, reachable by Newton iteration. A node
-    dies when the transformed polynomial has no roots mod p, which certifies
-    v_p(f(z)) = V exactly on the whole ball; the maximum such V over dead
-    branches yields a checkable non-solvability exponent.
+    strong Hensel criterion v(f(a)) > 2*v(f'(a)) holds with d > v(f'(a)), an
+    exact root f(a) = 0 counting as infinite valuation: the node then contains
+    exactly one root, reachable by Newton iteration. A node dies when the
+    transformed polynomial has no roots mod p, which certifies v_p(f(z)) = V
+    exactly on the whole ball; the maximum such V over dead branches yields a
+    checkable non-solvability exponent. The walk runs on construction.
     """
 
-    def __init__(self, f: IntPoly, p: int, prec: int, budget: int):
+    def __init__(self, f: IntPoly, p: int, prec: int):
         self.f = f
         self.fp = f.derivative()
         self.p = p
         self.prec = max(1, prec)
-        self.budget = budget
+        self.budget = _factor_budget(f, p, prec)
         self.roots: list[int] = []
         self.max_dead_v = 0
-        self.find_one = False
-        self._found = False
-
-    def run(self) -> None:
-        f = self.f
-        for r in _integer_roots(f):
-            self.roots.append(r % self.p**self.prec)
-            self._found = True
-            f = _divide_out_root(f, r)
-        if self.find_one and self._found:
-            return
-        self.f = f
-        self.fp = f.derivative()
-        if f.degree >= 1:
-            self._descend(0, 0, f, 0)
-        elif abs(f.coeffs[0]) > 1:
-            self.max_dead_v = max(self.max_dead_v, v_p(f.coeffs[0], self.p))
+        self._descend(0, 0, f, 0)
 
     def _descend(self, a: int, d: int, g: IntPoly, vtot: int) -> None:
-        if self.find_one and self._found:
-            return
         p = self.p
         if d >= 1:
             m = v_p(self.fp(a), p) if self.fp(a) != 0 else None
             fa = self.f(a)
-            # integer roots were divided out, so fa != 0 here
-            if m is not None and v_p(fa, p) > 2 * m and d >= m + 1:
+            if m is not None and (fa == 0 or v_p(fa, p) > 2 * m) and d >= m + 1:
                 self.roots.append(_newton_lift(self.f, a, m, self.prec, p))
-                self._found = True
                 return
         rts = g.roots_mod(p)
         if len(rts) < p:
@@ -261,20 +234,25 @@ class _SquarefreeRootFinder:
             v = min(v_p(c, p) for c in gg.coeffs if c != 0)
             g1 = gg.scale_divide(p**v)
             self._descend(a + r * p**d, d + 1, g1, vtot + v)
-            if self.find_one and self._found:
-                return
+
+
+@lru_cache(maxsize=64)
+def _discriminant_resultant(f: IntPoly) -> int:
+    """Res(f, f'), cached per factor like its squarefree decomposition."""
+    return resultant(list(f.coeffs), list(f.derivative().coeffs))
 
 
 def _factor_budget(f: IntPoly, p: int, precision: int) -> int:
     """Search depth that always suffices: at depth 2 v_p(Res(f, f')) + 1
     every surviving ball passes the Hensel test."""
-    res = resultant(list(f.coeffs), list(f.derivative().coeffs))
+    res = _discriminant_resultant(f)
     vres = v_p(res, p) if res != 0 else 0
     return max(precision, 2 * vres + 1) + 2
 
 
 def padic_roots(h: IntPoly, p: int, precision: int) -> list[LocalRootData]:
-    """All distinct p-adic roots of h detected to the requested precision.
+    """All distinct p-adic roots of h detected to the requested precision,
+    sorted by (multiplicity, base-p digits least significant first).
 
     Simple roots are lifted by Newton iteration; repeated-factor structure is
     resolved first by squarefree decomposition, so each reported multiplicity
@@ -284,11 +262,7 @@ def padic_roots(h: IntPoly, p: int, precision: int) -> list[LocalRootData]:
         raise ValueError("padic_roots expects a nonconstant polynomial")
     out: list[LocalRootData] = []
     for f, mult in squarefree_factors(h):
-        if f.degree < 1:
-            continue
-        finder = _SquarefreeRootFinder(f, p, precision, _factor_budget(f, p, precision))
-        finder.run()
-        for r in finder.roots:
+        for r in _SquarefreeRootFinder(f, p, precision).roots:
             out.append(LocalRootData(p, r % p**precision, mult, precision))
     seen = set()
     uniq = []
@@ -305,11 +279,7 @@ def _padic_solvable(h: IntPoly, p: int) -> tuple[bool, int]:
     content = abs(h.content())
     exponent = v_p(content, p) if content > 1 else 0
     for f, mult in squarefree_factors(h):
-        if f.degree < 1:
-            continue
-        finder = _SquarefreeRootFinder(f, p, 1, _factor_budget(f, p, 1))
-        finder.find_one = True
-        finder.run()
+        finder = _SquarefreeRootFinder(f, p, 1)
         if finder.roots:
             return True, 0
         exponent += mult * finder.max_dead_v
@@ -389,7 +359,7 @@ class AuxiliaryContext:
     lambda_ell: int
     aux: IntPoly
     roots: dict[int, LocalRootData] = field(compare=False)
-    builder: Optional["AuxiliaryBuilder"] = field(default=None, repr=False, compare=False)
+    builder: AuxiliaryBuilder = field(repr=False, compare=False)
 
     def to_jsonable(self) -> dict:
         return {
@@ -419,20 +389,14 @@ class AuxiliaryBuilder:
 
     Root selection policy: smallest multiplicity first (slower lambda growth),
     ties broken by base-p digits of the residue, least significant digit
-    first, which is stable when the stored precision is later refined.
-    ``overrides`` maps a prime p to a target integer; the chosen root is then
-    the one p-adically closest to that target.
+    first, which is stable when the stored precision is later refined. That
+    is the first root ``padic_roots`` returns.
     """
 
-    def __init__(
-        self,
-        h: IntPoly,
-        overrides: Optional[Mapping[int, int]] = None,
-    ):
+    def __init__(self, h: IntPoly):
         if h.degree < 1:
             raise ValueError("nonconstant polynomial required")
         self.h = h
-        self.overrides = dict(overrides or {})
         self._roots: dict[int, list[LocalRootData]] = {}
         self._prec: dict[int, int] = {}
         self._ctx: dict[int, AuxiliaryContext] = {}
@@ -449,46 +413,26 @@ class AuxiliaryBuilder:
         return self._roots[p]
 
     def chosen_root(self, p: int, precision: int = 1) -> LocalRootData:
-        cands = self._ensure_roots(p, precision)
-        if p in self.overrides:
-            w = self.overrides[p]
-            mod = p ** self._prec[p]
+        return self._ensure_roots(p, precision)[0]
 
-            def closeness(d: LocalRootData) -> int:
-                diff = (d.root - w) % mod
-                return v_p(diff, p) if diff else d.precision
-
-            best = max(cands, key=lambda d: (closeness(d), -d.multiplicity))
-            return best
-        return min(cands, key=lambda d: (d.multiplicity, d.digit_key()))
+    def _local(self, ell: int) -> dict[int, tuple[int, LocalRootData]]:
+        """p -> (v_p(ell), chosen root) for each prime p dividing ell."""
+        if ell < 1:
+            raise ValueError("ell must be positive")
+        return {p: (a, self.chosen_root(p, a)) for p, a in factorize(ell).items()}
 
     def r_ell(self, ell: int) -> int:
-        if ell < 1:
-            raise ValueError("ell must be positive")
-        if ell == 1:
-            return 0
-        pairs = []
-        for p, a in factorize(ell).items():
-            z = self.chosen_root(p, a)
-            pairs.append((z.residue(a), p**a))
-        r, _ = crt(pairs)
-        r %= ell
-        return r - ell if r > 0 else 0
+        return _residue(ell, self._local(ell))
 
     def lambda_of(self, ell: int) -> int:
-        if ell < 1:
-            raise ValueError("ell must be positive")
-        lam = 1
-        for p, a in factorize(ell).items():
-            m = self.chosen_root(p, a).multiplicity
-            lam *= p ** (a * m)
-        return lam
+        return _scaling(self._local(ell))
 
     def context(self, ell: int) -> AuxiliaryContext:
         if ell in self._ctx:
             return self._ctx[ell]
-        r = self.r_ell(ell)
-        lam = self.lambda_of(ell)
+        local = self._local(ell)
+        r = _residue(ell, local)
+        lam = _scaling(local)
         if self.h(r) % ell != 0:
             raise AssertionError("root residue failed ell | h(r_ell)")
         composed = self.h.compose_affine(r, ell)
@@ -504,10 +448,22 @@ class AuxiliaryBuilder:
             bound = coefficient_bound(self.h) * ell ** (self.h.degree - 1)
             if aux.max_abs_coeff() > bound:
                 raise AssertionError("coefficient bound violated")
-        roots = {p: self.chosen_root(p, a) for p, a in factorize(ell).items()}
+        roots = {p: z for p, (_, z) in local.items()}
         ctx = AuxiliaryContext(self.h, ell, r, lam, aux, roots, self)
         self._ctx[ell] = ctx
         return ctx
+
+
+def _residue(ell: int, local: dict[int, tuple[int, LocalRootData]]) -> int:
+    """r_ell in (-ell, 0]: the CRT of the chosen roots mod p**v_p(ell)."""
+    r, _ = crt([(z.residue(a), p**a) for p, (a, z) in local.items()])
+    r %= ell
+    return r - ell if r > 0 else 0
+
+
+def _scaling(local: dict[int, tuple[int, LocalRootData]]) -> int:
+    """lambda(ell) = prod p**(v_p(ell) * multiplicity of the chosen root)."""
+    return math.prod(p ** (a * z.multiplicity) for p, (a, z) in local.items())
 
 
 @dataclass
@@ -526,15 +482,10 @@ class InheritanceReport:
 
 
 def inheritance_check(
-    h_or_builder, ell: int, q: int, sample_count: int = 50
+    builder: AuxiliaryBuilder, ell: int, q: int, sample_count: int = 50
 ) -> InheritanceReport:
     """Check the exact identity lambda(q) * h_{q ell}(n) = h_ell(s + q n)
     with s = (r_{q ell} - r_ell)/ell, for n = 1..sample_count."""
-    builder = (
-        h_or_builder
-        if isinstance(h_or_builder, AuxiliaryBuilder)
-        else AuxiliaryBuilder(h_or_builder)
-    )
     lo = builder.context(ell)
     hi = builder.context(q * ell)
     lam_q = builder.lambda_of(q)

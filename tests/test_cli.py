@@ -21,6 +21,7 @@ from polysieve.cli import (
     to_jsonable,
 )
 from polysieve.harmonic import smooth_weight_build
+from polysieve.increment import d_exponent
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
@@ -65,6 +66,27 @@ def test_f_eval_task_matches_example(tmp_path):
     assert abs(rec["result"]["value"] - 0.8484309759606047) < 1e-12
     # params echo allows re-running the task in isolation
     assert rec["params"] == {"log_x": 256.0, "epsilon": 1.0}
+
+
+def test_f_eval_reads_config_epsilon(tmp_path):
+    # epsilon 0.0 (the default) means the config's epsilon; a param still wins
+    def result(sub, params):
+        task = {"name": "f_eval", "params": {"log_x": 256.0, **params}}
+        cfg = ExperimentConfig.from_dict(
+            {**MINIMAL, "constants": {"epsilon": 0.5}, "tasks": [task]}
+        )
+        run_experiment(cfg, tmp_path / sub)
+        return json.loads((tmp_path / sub / "records.jsonl").read_text().splitlines()[-1])["result"]
+
+    assert result("config", {})["d_exponent"] == d_exponent(0.5)
+    assert result("param", {"epsilon": 1.0})["d_exponent"] == d_exponent(1.0) == 0.125
+
+
+def test_leveld_rejects_unknown_variant(tmp_path):
+    leveld = {"name": "leveld", "params": {"alpha": 0.2, "trials": 0, "variant": 7}}
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [leveld]})
+    with pytest.raises(ConfigError):
+        run_experiment(cfg, tmp_path)
 
 
 def test_empty_task_list(tmp_path):

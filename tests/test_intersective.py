@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -52,6 +54,24 @@ def test_padic_roots_validate_congruence(fixtures):
                 )
 
 
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_padic_roots_of_planted_integer_roots(roots, mults, p, e):
+    # h = prod (x - r_i)^m_i: every root is an integer, negative ones too, and
+    # the walk finds each at its residue mod p^e with its multiplicity
+    coeffs = [1]
+    for r, m in zip(roots, mults):
+        for _ in range(m):  # multiply by (x - r)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    found = {(d.root, d.multiplicity) for d in padic_roots(IntPoly(tuple(coeffs)), p, e)}
+    assert found == {(r % p**e, m) for r, m in zip(roots, mults)}
+
+
 def test_padic_roots_two_adic_square():
     # 17 = 1 mod 8 is a 2-adic square; x^2 - 17 has exactly two roots
     roots = padic_roots(IntPoly((-17, 0, 1)), 2, 6)
@@ -88,20 +108,57 @@ def test_verdict_sextic_empirical(fixtures):
     assert v == EmpiricalUpTo(10**4)
 
 
+def test_verdict_exponents_pinned():
+    # (prime, exponent) of the finite refutations: the refutation exponent is
+    # part of the verdict record, so a change to the root walk must not move it
+    cases = {
+        (-2, 0, 1): (2, 2),
+        (1, 0, 1): (2, 2),
+        (-3, 0, 1): (2, 2),
+        (2, 0, 1): (2, 2),
+        (-5, 0, 1): (2, 3),
+        (3, 0, 1): (2, 3),
+        (-6, 0, 0, 1): (2, 2),
+        (1, 1, 1): (2, 1),
+        (-17 * 2**140, 0, 1): (3, 1),
+        (4, 0, -4, 0, 1): (2, 3),  # (x^2-2)^2: multiplicity 2 times v = 1, plus 1
+        (1, 0, 3, 0, 3, 0, 1): (2, 4),  # (x^2+1)^3
+        (8, 0, -8, 0, 2): (2, 4),  # 2(x^2-2)^2: the content adds v_2(2) = 1
+    }
+    for coeffs, (p, e) in cases.items():
+        assert intersectivity_verdict(IntPoly(coeffs), 100) == NotIntersective(p, e)
+
+
+# (x^2-13)(x^2-17)(x^2-221), normalized to positive values on n >= 1
+SEXTIC_POSITIVE = IntPoly((-818925, 663796, 287915, 40824, 2689, 84, 1))
+
+
+@pytest.mark.parametrize(
+    "h, digest",
+    [
+        (IntPoly((-1, 0, 1)), "fc9b72050b4ef2dc59aaaef5ac35bea174ed0cbdc8f8177860559ff07a818856"),
+        (IntPoly((0, 0, -1, 1)), "7555af344975fb8a2a20b2785c0b6b13fa59c010fd4c30d51383e779e65ab667"),
+        (SEXTIC_POSITIVE, "87a0b6db28dc4647b81166da81b077c4b776bb3b4b0da288eec91fa7e86ad8d0"),
+    ],
+)
+def test_tower_contexts_pinned(h, digest):
+    # every context of a fresh builder for ell = 1..30, in order: `aux`
+    # records hold these, so a change to the root walk must not move them
+    b = AuxiliaryBuilder(h)
+    rows = [b.context(ell).to_jsonable() for ell in range(1, 31)]
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_root_residue_examples():
     b = AuxiliaryBuilder(IntPoly((0, 0, 1)))
     assert b.r_ell(60) == 0
     b = AuxiliaryBuilder(IntPoly((-1, 0, 1)))
     assert b.r_ell(6) == -5
-    b2 = AuxiliaryBuilder(IntPoly((-1, 0, 1)), overrides={2: -1})
-    assert b2.r_ell(4) == -1
 
 
 def test_lambda_examples():
     assert AuxiliaryBuilder(IntPoly((0, 0, 1))).lambda_of(12) == 144
     assert AuxiliaryBuilder(IntPoly((-1, 0, 1))).lambda_of(12) == 12
-    b = AuxiliaryBuilder(IntPoly((0, 0, -1, 1)), overrides={2: 0})
-    assert b.lambda_of(6) == 12
 
 
 def test_auxiliary_poly_examples():
@@ -147,11 +204,11 @@ def test_coefficient_bound_examples():
 
 
 def test_inheritance_examples():
-    rep = inheritance_check(IntPoly((-1, 0, 1)), 1, 2)
+    rep = inheritance_check(AuxiliaryBuilder(IntPoly((-1, 0, 1))), 1, 2)
     assert rep.ok
-    rep = inheritance_check(IntPoly((0, 0, 1)), 3, 5)
+    rep = inheritance_check(AuxiliaryBuilder(IntPoly((0, 0, 1))), 3, 5)
     assert rep.ok
-    rep = inheritance_check(IntPoly((-1, 0, 1)), 2, 3)
+    rep = inheritance_check(AuxiliaryBuilder(IntPoly((-1, 0, 1))), 2, 3)
     assert rep.ok
 
 
@@ -176,7 +233,7 @@ def test_certified_root_congruence(fixtures):
 @given(st.integers(1, 120), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_inheritance_property_random(ell, q):
-    rep = inheritance_check(IntPoly((-1, 0, 1)), ell, q, sample_count=12)
+    rep = inheritance_check(AuxiliaryBuilder(IntPoly((-1, 0, 1))), ell, q, sample_count=12)
     assert rep.ok
 
 
