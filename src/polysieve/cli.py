@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -64,32 +64,16 @@ def dumps_record(rec: dict) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONSTANT_KEYS = {
-    "epsilon",
-    "C1",
-    "C2",
-    "C3",
-    "C4",
-    "c_h",
-    "C_h",
-    "rho",
-    "opt1_c",
-    "q_cap",
-}
-
-
 @dataclass
 class ExperimentConfig:
     polynomial: list[int]
     tasks: list[dict]
     seed: int = 0
     constants: dict = field(default_factory=dict)
-    out_dir: Optional[str] = None
-    preset: str = "desk"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        allowed = {"polynomial", "tasks", "seed", "constants", "out_dir", "preset"}
+        allowed = {"polynomial", "tasks", "seed", "constants", "preset"}
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -97,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError("config requires 'polynomial' and 'tasks'")
         poly = [int(c) for c in raw["polynomial"]]
         consts = raw.get("constants", {})
-        bad = set(consts) - _CONSTANT_KEYS
+        bad = set(consts) - {f.name for f in fields(increment.IncrementConfig)}
         if bad:
             raise ConfigError(f"unknown constants: {sorted(bad)}")
         tasks = []
@@ -116,16 +100,14 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"task {i} ({name}): unknown params {sorted(bad)}")
             tasks.append({"name": name, "params": params})
-        preset = raw.get("preset", "desk")
-        if preset not in ("desk", "paper"):
-            raise ConfigError("preset must be 'desk' or 'paper'")
+        # one preset: IncrementConfig's defaults, under the config's constants
+        if raw.get("preset", "desk") != "desk":
+            raise ConfigError("preset must be 'desk'")
         return cls(
             polynomial=poly,
             tasks=tasks,
             seed=int(raw.get("seed", 0)),
             constants=dict(consts),
-            out_dir=raw.get("out_dir"),
-            preset=preset,
         )
 
     @classmethod
@@ -139,14 +121,11 @@ class ExperimentConfig:
             "tasks": self.tasks,
             "seed": self.seed,
             "constants": self.constants,
-            "preset": self.preset,
+            "preset": "desk",
         }
 
     def increment_config(self) -> increment.IncrementConfig:
-        if self.preset == "paper":
-            k = max(IntPoly.of(self.polynomial).degree, 2)
-            return increment.IncrementConfig.paper(k, **self.constants)
-        return increment.IncrementConfig.desk(**self.constants)
+        return increment.IncrementConfig(**self.constants)
 
 
 class RunContext:
@@ -234,7 +213,7 @@ def _task_aux(ctx: RunContext, p: dict) -> dict:
 def _task_sieve(ctx: RunContext, p: dict) -> dict:
     table = sieve.SieveTable.build(ctx.builder.context(int(p["ell"])), float(p["U"]))
     J = sieve.J_factor(table)
-    count = sieve.w_count_in_period(table) if table.period <= 10**6 else None
+    count = sieve.w_count_in_period(table) if table.period <= sieve.PERIOD_CAP else None
     exact = None if count is None else (count * J == table.period)
     return {
         "table": table.to_jsonable(),
@@ -278,9 +257,7 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
     if variant not in (0, 1, 2):
         raise ConfigError(f"leveld variant must be 0, 1 or 2, not {variant}")
     if variant:
-        cfg = ctx.config.increment_config()
-        consts = {"C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3}
-        fam = leveld.build_family(variant, alpha, cfg.epsilon, consts)
+        fam = leveld.build_family(variant, alpha, ctx.config.increment_config())
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []
@@ -524,7 +501,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name, keys in specs.items():
         p = sub.add_parser(name)
         common(p)
-        p.add_argument("--preset", choices=["paper", "desk"], default="desk")
         p.add_argument("--poly", default="0,0,1", help="coefficients, constant first")
         for key in keys:
             default = TASKS[name].params[key]
@@ -548,7 +524,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             {
                 "polynomial": ns.poly.split(","),
                 "tasks": [{"name": ns.command, "params": params}],
-                "preset": ns.preset,
             }
         )
     if ns.seed is not None:

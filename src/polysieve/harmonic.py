@@ -710,10 +710,7 @@ def major_arc_predict(
     if abs(theta) > X ** -(1.0 - 1.0 / (8 * k)):
         notes.append("theta outside the major-arc radius hypothesis")
     table = image.table
-    restricted = 1.0
-    for d in table.entries.values():
-        if q % d.modulus != 0:
-            restricted *= 1.0 - d.j / d.modulus
+    restricted = 1.0 / J_factor_float(table, q)
     if q == 1:
         gauss = complex(1.0)
     else:
@@ -759,12 +756,11 @@ def minor_arc_audit(
     image: WeightedImage,
     alpha: float,
     params: Optional[ArcParams] = None,
-    epsilon: float = 1.0,
-    C1: float = 10.0,
     extra_points: Sequence[float] = (),
 ) -> MinorArcReport:
     """Exact sup of |g^| over the minor-arc points of the FFT grid j/N and of
-    `extra_points`, against the threshold 2^-9 alpha X.
+    `extra_points`, against the threshold 2^-9 alpha X. Without `params` the
+    arcs take epsilon and C1 from IncrementConfig's defaults.
 
     `major_arc_mask` decides every point at once; `argmax_theta` is reduced
     into [0, 1). `alpha_floor` is the bound (log X)^{ek} exp(-(log X)^{3/8})
@@ -772,7 +768,10 @@ def minor_arc_audit(
     """
     X = image.X
     if params is None:
-        params = ArcParams.make(alpha, epsilon, C1, X)
+        from .increment import IncrementConfig  # increment imports this module
+
+        cfg = IncrementConfig()
+        params = ArcParams.make(alpha, cfg.epsilon, cfg.C1, X)
     threshold = 2.0**-9 * alpha * X
     k = image.aux.aux.degree
     logx = math.log(X)

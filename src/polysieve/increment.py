@@ -10,7 +10,7 @@ relabel the problem through the auxiliary polynomial at q * ell and rescale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,8 @@ from .search import AvoidingSet, image_values, verify_avoiding
 
 LENGTH_C = 1.0  # extraction's target length is LENGTH_C eta X / (lambda(q) T)
 MAX_STEPS = 64  # iterate stops after this many increments
+XI_POINTS = 33  # offsets in the mass scan's xi grid
+X_MIN = 16  # smallest X a step accepts; iterate stops below it
 
 
 def d_exponent(epsilon: float) -> float:
@@ -46,6 +48,14 @@ def F_eval(X: float = 0.0, epsilon: float = 1.0, log_x: Optional[float] = None) 
 
 @dataclass
 class IncrementConfig:
+    """The paper's constants, and the one place their defaults live.
+
+    The defaults keep the iteration observable at desk scale. The paper
+    takes opt1_c = c_h and rho = 2^(-10k); since F(X) < 1 at desk X, the
+    threshold exp(-c_h F(X)) is then near 1 (0.9916 at X = 2000) and every
+    step stops at option 1. opt1_c = 4 makes option 1 bite only for
+    genuinely sparse sets. An unknown constant raises TypeError."""
+
     epsilon: float = 1.0
     c_h: float = 0.01
     C_h: float = 20.0
@@ -54,28 +64,11 @@ class IncrementConfig:
     C3: float = 100.0
     C4: float = 100.0  # accepted from configs; nothing reads it yet
     rho: float = 0.5
-    # option-1 stop threshold uses opt1_c * F(X); None falls back to c_h
-    opt1_c: Optional[float] = None
+    opt1_c: float = 4.0  # option-1 stop threshold is exp(-opt1_c F(X))
     q_cap: int = 64
-    xi_points: int = 33
-    X_min: int = 16
-
-    @classmethod
-    def desk(cls, **overrides) -> "IncrementConfig":
-        """Constants tuned so the iteration is observable at small X: the
-        option-1 threshold exp(-c F(X)) is meaningless with the documented
-        c_h = 0.01 since F(X) < 1 for desk X; opt1_c = 4 makes it bite only
-        for genuinely sparse sets. An unknown override raises TypeError."""
-        return replace(cls(opt1_c=4.0), **overrides)
-
-    @classmethod
-    def paper(cls, k: int, **overrides) -> "IncrementConfig":
-        """The documented defaults with the rho = 2^(-10k) choice."""
-        return replace(cls(rho=2.0 ** (-10 * k)), **overrides)
 
     def opt1_threshold(self, X: int) -> float:
-        c = self.c_h if self.opt1_c is None else self.opt1_c
-        return math.exp(-c * F_eval(X, self.epsilon))
+        return math.exp(-self.opt1_c * F_eval(X, self.epsilon))
 
     def to_jsonable(self) -> dict:
         return {k: v for k, v in vars(self).items()}
@@ -167,7 +160,9 @@ class StepOutcome:
         }
 
 
-def _mass_scan(A: AvoidingSet, cfg: IncrementConfig, tau: float) -> list[tuple]:
+def _mass_scan(
+    A: AvoidingSet, cfg: IncrementConfig, tau: float, xi_points: int = XI_POINTS
+) -> list[tuple]:
     """Candidate (q, xi, eta) triples, ranked, by the mass of the balanced
     weights 1_A - alpha (_mod_masses) over q = 2..q_cap and the exactly
     antisymmetric grid xi = j tau / m, m = xi_points - 1, j = -m, -m + 2, ..., m
@@ -175,7 +170,7 @@ def _mass_scan(A: AvoidingSet, cfg: IncrementConfig, tau: float) -> list[tuple]:
     sets, so the rank is by mass over the q * alpha(1-alpha) X noise baseline,
     then smaller q, |xi|, xi; the caller falls through infeasible ones."""
     X, alpha = A.X, A.alpha
-    m = cfg.xi_points - 1
+    m = xi_points - 1
     abs_xis = np.arange(m % 2, m + 1, 2) * tau / m if m else np.zeros(1)
     masses = _mod_masses(A, alpha, cfg.q_cap, abs_xis)
     denom = alpha * alpha * X * X
@@ -205,8 +200,8 @@ def increment_step(
     if A.size == 0:
         raise ValueError("increment_step needs a nonempty set")
     X = A.X
-    if X < cfg.X_min:
-        raise ValueError(f"X = {X} below X_min = {cfg.X_min}")
+    if X < X_MIN:
+        raise ValueError(f"X = {X} below X_MIN = {X_MIN}")
     builder = ctx.builder
     alpha = A.alpha
     if alpha <= cfg.opt1_threshold(X):
@@ -345,7 +340,7 @@ def iterate(
     cfg: Optional[IncrementConfig] = None,
 ) -> IterationTrace:
     """Repeat increment_step, rescaling and growing ell, until a stopping
-    rule fires: option 1, X below X_min, alpha above 2/3, ell at X^rho, or no
+    rule fires: option 1, X below X_MIN, alpha above 2/3, ell at X^rho, or no
     increment found."""
     cfg = cfg or IncrementConfig()
     builder = AuxiliaryBuilder(h)
@@ -360,7 +355,7 @@ def iterate(
         if cur.alpha > 2.0 / 3.0:
             stop = "alpha above 2/3"
             break
-        if cur.X < cfg.X_min:
+        if cur.X < X_MIN:
             stop = "X below X_min"
             break
         if ell >= cur.X**cfg.rho:

@@ -19,7 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .harmonic import _autocorrelation
+from .increment import IncrementConfig
 from .nt import factorize, primes_upto
+
+C0 = 2.0**13  # the level-d bound is alpha^2 X^2 (C0 L / d)^d
 
 
 @dataclass
@@ -86,31 +89,26 @@ def _product(xs: Sequence[int]) -> int:
     return xs[0] if xs else 1
 
 
-def build_family(
-    variant: int,
-    alpha: float,
-    epsilon: float,
-    constants: Optional[dict] = None,
-) -> ModulusFamily:
+def build_family(variant: int, alpha: float, cfg: IncrementConfig) -> ModulusFamily:
     """Variant 1: smooth cutoff L^(2+eps), distinguished exponent
     ceil(2(2+eps)L), reach max(C1 alpha^-(2+eps), L^(2+eps)).
     Variant 2: smooth cutoff C3 L^(3+eps), exponent ceil(2(2+eps)(log L)^2),
-    reach max(C2 L^((2+eps) floor(log L)), C3 L^(3+eps))."""
+    reach max(C2 L^((2+eps) floor(log L)), C3 L^(3+eps)).
+    eps and C1-C3 come from cfg."""
     if not 0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    consts = {"C1": 10.0, "C2": 100.0, "C3": 100.0}
-    consts.update(constants or {})
+    epsilon = cfg.epsilon
     L = math.log(1.0 / alpha)
     if variant == 1:
         smooth = L ** (2.0 + epsilon)
         exponent = math.ceil(2.0 * (2.0 + epsilon) * L)
-        p_max = max(consts["C1"] * alpha ** -(2.0 + epsilon), smooth)
+        p_max = max(cfg.C1 * alpha ** -(2.0 + epsilon), smooth)
     elif variant == 2:
         if L <= 1.0:
             raise ValueError("variant 2 needs log(1/alpha) > 1")
-        smooth = consts["C3"] * L ** (3.0 + epsilon)
+        smooth = cfg.C3 * L ** (3.0 + epsilon)
         exponent = math.ceil(2.0 * (2.0 + epsilon) * math.log(L) ** 2)
-        p_max = max(consts["C2"] * L ** ((2.0 + epsilon) * math.floor(math.log(L))), smooth)
+        p_max = max(cfg.C2 * L ** ((2.0 + epsilon) * math.floor(math.log(L))), smooth)
     else:
         raise ValueError("variant must be 1 or 2")
     smooth_primes = primes_upto(int(smooth))
@@ -134,7 +132,9 @@ def build_family(
             "alpha": alpha,
             "epsilon": epsilon,
             "distinguished_exponent": exponent,
-            **consts,
+            "C1": cfg.C1,
+            "C2": cfg.C2,
+            "C3": cfg.C3,
         },
     )
     assert fam.pairwise_coprime()
@@ -298,7 +298,6 @@ def level_d_audit(
     Q: ModulusFamily,
     d: int,
     alpha: float,
-    c0: float = 2.0**13,
 ) -> LevelDReport:
     """Evaluate both branches of the level-d dichotomy for real |f| <= 1 on [X].
 
@@ -322,7 +321,7 @@ def level_d_audit(
         "d_in_range": 1 <= d <= 2.0**-7 * L,
     }
     lhs = level_d_energy(f, Q, d)
-    rhs = alpha**2 * X**2 * (c0 * L / d) ** d
+    rhs = alpha**2 * X**2 * (C0 * L / d) ** d
     # density alternative: average of |f| over progressions mod R_S
     absf = np.abs(f)
     top = float(absf.max())

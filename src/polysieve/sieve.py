@@ -20,6 +20,8 @@ from .intersective import AuxiliaryContext
 from .nt import gcd_many, primes_upto, v_p
 from .polycore import IntPoly
 
+PERIOD_CAP = 10**7  # largest period w_count_in_period enumerates (a 10 MB mask)
+
 
 @dataclass(frozen=True)
 class LocalSieveDatum:
@@ -204,9 +206,9 @@ def brun_sum_audit(table: SieveTable, q: int, b: int, t: int) -> BrunReport:
     )
 
 
-def w_count_in_period(table: SieveTable, enumerate_cap: int = 10**7) -> int:
+def w_count_in_period(table: SieveTable) -> int:
     """Count of W members in one full period, by direct enumeration."""
-    if table.period > enumerate_cap:
+    if table.period > PERIOD_CAP:
         raise ValueError("period too large to enumerate; use J_factor instead")
     period = int(table.period)
     return int(np.count_nonzero(w_mask(table, period)[1 : period + 1]))

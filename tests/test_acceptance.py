@@ -232,7 +232,7 @@ def test_criterion_09_increment_end_to_end():
     builder = AuxiliaryBuilder(h)
     sq = squares_upto(5000)
     A = greedy_avoiding(sq, 5000)
-    cfg = IncrementConfig.desk()
+    cfg = IncrementConfig()
     out = increment_step(A, builder.context(1), cfg)
     step_ok = (
         out.new_alpha is not None

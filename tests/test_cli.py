@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -21,7 +23,7 @@ from polysieve.cli import (
     to_jsonable,
 )
 from polysieve.harmonic import smooth_weight_build
-from polysieve.increment import d_exponent
+from polysieve.increment import IncrementConfig, d_exponent
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
@@ -54,6 +56,21 @@ def test_config_strictness():
         ExperimentConfig.from_dict(
             {**MINIMAL, "tasks": [{"name": "gauss", "params": {}, "required": True}]}
         )
+    with pytest.raises(ConfigError):  # run writes under --out; no config key moves it
+        ExperimentConfig.from_dict({**MINIMAL, "out_dir": "elsewhere"})
+
+
+def test_config_constants_are_the_increment_config_fields():
+    for f in dataclasses.fields(IncrementConfig):
+        cfg = ExperimentConfig.from_dict({**MINIMAL, "constants": {f.name: 2}})
+        assert getattr(cfg.increment_config(), f.name) == 2
+    for key in ("xi_points", "X_min", "foo"):  # module constants, or nothing
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**MINIMAL, "constants": {key: 2}})
+    # desk, IncrementConfig's defaults, is the one preset
+    assert ExperimentConfig.from_dict({**MINIMAL, "preset": "desk"}).to_jsonable()["preset"] == "desk"
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({**MINIMAL, "preset": "paper"})
 
 
 def test_f_eval_task_matches_example(tmp_path):
@@ -196,6 +213,40 @@ def test_failed_verdict_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert main(["gauss", "--out", str(tmp_path / "sub")]) == 1
 
 
+# sha256 of each exact-integer task result of configs/default.json, as the
+# canonical JSON its record holds; float results stay out, since their last
+# bits may move with numpy
+DEFAULT_EXACT_DIGESTS = {
+    "check": "8632565275ef59f7ef5735a664c4473c5d60824ff5cdbdc2e4e7a59f43fe2528",
+    "aux": "bcd3877a54515a5e55c1de00255c78c04d02d77d118dee11b87980ffef7d8a88",
+    "sieve": "a3bda108a4b5e5b122d6f2ad9923b23857b51c293ddd20bc4a2644d9cc04f57c",
+    "dmax": "0deb107d9cba46e73b8182657f52520dcd139993ef10d558c1a212da4b49b66e",
+}
+
+
+def test_default_config_exact_results_are_pinned(tmp_path):
+    run_experiment(ExperimentConfig.load(DEFAULT_CONFIG), tmp_path)
+    digests = {}
+    for line in (tmp_path / "records.jsonl").read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        if rec["task"] in DEFAULT_EXACT_DIGESTS:
+            blob = json.dumps(rec["result"], sort_keys=True, separators=(",", ":"))
+            digests[rec["task"]] = hashlib.sha256(blob.encode()).hexdigest()
+    assert digests == DEFAULT_EXACT_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "U, members, verdict",
+    [(17, 184320, "passed"), (19, None, "not decided")],
+)
+def test_sieve_counts_periods_up_to_the_cap(tmp_path, U, members, verdict):
+    # U = 17: period 1,021,020 is counted; U = 19: 19,399,380 is past the cap
+    assert main(["sieve", "--U", str(U), "--out", str(tmp_path)]) == 0
+    result = _task_record(tmp_path)["result"]
+    assert result["members_per_period"] == members
+    assert f"- sieve: {verdict}\n" in emit_report(tmp_path)
+
+
 def test_default_config_verdicts(tmp_path):
     assert main(["run", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]) == 0
     audits = emit_report(tmp_path).split("## Audits\n")[1].splitlines()
@@ -271,10 +322,12 @@ def test_cli_subcommands_smoke(tmp_path):
         ["run"],
         ["check", "--config", "cfg.json"],
         ["mass", "--config", "cfg.json", "--x", "300"],
+        ["step", "--preset", "desk"],
     ],
 )
 def test_cli_rejects_flags_it_would_ignore(argv, capsys):
-    # --config belongs to run only, --poly and --preset to the task subcommands
+    # --config belongs to run only, --poly to the task subcommands; constants
+    # come from a config's "constants", so no subcommand takes --preset
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

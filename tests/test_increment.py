@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from conftest import squares_upto
 from polysieve.harmonic import fourier_point
 from polysieve.increment import (
+    X_MIN,
+    XI_POINTS,
     F_eval,
     IncrementConfig,
     _mass_scan,
@@ -89,11 +92,37 @@ def test_increment_step_structured():
     h = IntPoly((0, 0, 1))
     b = AuxiliaryBuilder(h)
     A = AvoidingSet.from_members(100, range(1, 101, 4))
-    out = increment_step(A, b.context(1), IncrementConfig.desk())
+    out = increment_step(A, b.context(1), IncrementConfig())
     assert out.new_alpha == 1.0
     assert out.envelopes["star"]
     assert out.diagnostics["q"] == 4
     assert out.option in ("star", "opt2", "opt3")
+
+
+def test_config_defaults_are_the_desk_constants():
+    # the values every run used before IncrementConfig held the only defaults
+    assert dataclasses.asdict(IncrementConfig()) == {
+        "epsilon": 1.0,
+        "c_h": 0.01,
+        "C_h": 20.0,
+        "C1": 10.0,
+        "C2": 100.0,
+        "C3": 100.0,
+        "C4": 100.0,
+        "rho": 0.5,
+        "opt1_c": 4.0,
+        "q_cap": 64,
+    }
+    assert (XI_POINTS, X_MIN) == (33, 16)
+
+
+def test_increment_step_without_config_is_the_desk_step():
+    h = IntPoly((0, 0, 1))
+    ctx = AuxiliaryBuilder(h).context(1)
+    A = greedy_avoiding(squares_upto(2000), 2000)
+    out = increment_step(A, ctx)
+    assert out.option == "opt3"
+    assert out.to_jsonable() == increment_step(A, ctx, IncrementConfig()).to_jsonable()
 
 
 def test_increment_step_guards():
@@ -102,14 +131,12 @@ def test_increment_step_guards():
     with pytest.raises(ValueError):
         increment_step(AvoidingSet.empty(100), ctx)
     with pytest.raises(ValueError):
-        increment_step(AvoidingSet.full(8), ctx, IncrementConfig(X_min=16))
+        increment_step(AvoidingSet.full(X_MIN - 1), ctx)
     # an unknown constant must not slip into the config (and its echo)
     with pytest.raises(TypeError):
-        IncrementConfig.desk(foo=1)
-    with pytest.raises(TypeError):
-        IncrementConfig.paper(2, foo=1)
-    assert IncrementConfig.desk(q_cap=9).q_cap == 9
-    assert IncrementConfig.paper(2, C1=3.0).C1 == 3.0
+        IncrementConfig(foo=1)
+    assert IncrementConfig(q_cap=9).q_cap == 9
+    assert IncrementConfig(C1=3.0).C1 == 3.0
 
 
 def test_mass_scan_matches_pointwise_fourier():
@@ -118,23 +145,23 @@ def test_mass_scan_matches_pointwise_fourier():
     A = AvoidingSet.from_members(X, [n for n in range(1, X + 1) if n % 3 == 1 or n % 7 == 0])
     ns = np.arange(1, X + 1)
     w = np.where(np.isin(ns, A.member_array()), 1.0 - A.alpha, -A.alpha)
-    cfg = IncrementConfig(q_cap=12, xi_points=5)
-    ranked = _mass_scan(A, cfg, 0.01)
-    assert len(ranked) == (cfg.q_cap - 1) * cfg.xi_points
+    cfg = IncrementConfig(q_cap=12)
+    ranked = _mass_scan(A, cfg, 0.01, xi_points=5)
+    assert len(ranked) == (cfg.q_cap - 1) * 5
     assert ranked[0][0] == 3  # the planted residue class wins
     for q, xi, eta in ranked[:3] + ranked[len(ranked) // 2 :: 11]:
         direct = sum(abs(fourier_point((ns, w), a / q + xi)) ** 2 for a in range(q))
         assert eta * (A.alpha * X) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
-def _mass_scan_py(A, cfg, tau):
+def _mass_scan_py(A, cfg, tau, xi_points):
     """The per-(xi, q) fold-and-FFT scan the autocorrelation replaced:
     reference only."""
     X = A.X
     alpha = A.alpha
     ns = np.arange(1, X + 1)
     weights = np.where(np.isin(ns, A.member_array()), 1.0 - alpha, -alpha)
-    m = cfg.xi_points - 1
+    m = xi_points - 1
     xis = np.arange(-m, m + 1, 2) * tau / m if m else np.zeros(1)
     denom = alpha * alpha * X * X
     noise = alpha * (1.0 - alpha) * X
@@ -158,10 +185,10 @@ def _mass_scan_py(A, cfg, tau):
 def test_mass_scan_matches_the_fold_loop(X, density, seed, q_cap, xi_points):
     rng = np.random.default_rng(seed)
     A = AvoidingSet.from_members(X, (np.flatnonzero(rng.random(X) < density) + 1).tolist())
-    cfg = IncrementConfig(q_cap=q_cap, xi_points=xi_points)
+    cfg = IncrementConfig(q_cap=q_cap)
     tau = cfg.C1 * math.log(1.0 / A.alpha) ** 2 / X
-    got = _mass_scan(A, cfg, tau)
-    want = _mass_scan_py(A, cfg, tau)
+    got = _mass_scan(A, cfg, tau, xi_points)
+    want = _mass_scan_py(A, cfg, tau, xi_points)
     old_eta = {(q, xi): eta for q, xi, eta in want}
     assert len(got) == len(want) and {(q, xi) for q, xi, _ in got} == set(old_eta)
     for q, xi, eta in got:
@@ -179,7 +206,7 @@ def test_mass_scan_grid_is_antisymmetric():
     tau = 0.003
     for xi_points in (33, 8, 2, 1):
         m = xi_points - 1
-        ranked = _mass_scan(A, IncrementConfig(q_cap=30, xi_points=xi_points), tau)
+        ranked = _mass_scan(A, IncrementConfig(q_cap=30), tau, xi_points)
         eta = {(q, xi): e for q, xi, e in ranked}
         xis = sorted({xi for _, xi in eta})
         assert len(xis) == xi_points and len(eta) == 29 * xi_points
@@ -196,7 +223,7 @@ def test_mass_scan_grid_is_antisymmetric():
 def test_increment_step_opt1_fires_for_sparse():
     h = IntPoly((0, 0, 1))
     ctx = AuxiliaryBuilder(h).context(1)
-    cfg = IncrementConfig.desk()
+    cfg = IncrementConfig()
     A = AvoidingSet.from_members(3000, [1, 1500, 2999])
     out = increment_step(A, ctx, cfg)
     assert out.option == "opt1"
@@ -207,7 +234,7 @@ def test_increment_end_to_end_greedy():
     b = AuxiliaryBuilder(h)
     sq = squares_upto(5000)
     A = greedy_avoiding(sq, 5000)
-    cfg = IncrementConfig.desk()
+    cfg = IncrementConfig()
     out = increment_step(A, b.context(1), cfg)
     assert out.option in ("star", "opt2", "opt3")
     assert out.new_alpha > out.old_alpha
@@ -227,7 +254,7 @@ def test_iterate_greedy_trace():
     h = IntPoly((0, 0, 1))
     sq = squares_upto(2000)
     A = greedy_avoiding(sq, 2000)
-    cfg = IncrementConfig.desk()
+    cfg = IncrementConfig()
     trace = iterate(A, h, cfg)
     assert len(trace.rows) >= 2  # at least one accepted step beyond init
     assert trace.check_invariants()
@@ -242,7 +269,7 @@ def test_iterate_greedy_trace():
 
 def test_iterate_stops():
     h = IntPoly((0, 0, 1))
-    cfg = IncrementConfig.desk()
+    cfg = IncrementConfig()
     assert iterate(AvoidingSet.empty(100), h, cfg).stop_reason == "empty set"
     assert iterate(AvoidingSet.full(100), h, cfg).stop_reason == "alpha above 2/3"
 
@@ -253,7 +280,7 @@ def test_trace_csv_shape():
     h = IntPoly((0, 0, 1))
     sq = squares_upto(2000)
     A = greedy_avoiding(sq, 2000)
-    trace = iterate(A, h, IncrementConfig.desk())
+    trace = iterate(A, h, IncrementConfig())
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0].startswith("# config: ")
@@ -268,7 +295,7 @@ def test_alpha_strictly_increases_across_steps():
     h = IntPoly((0, 0, 1))
     sq = squares_upto(3000)
     A = greedy_avoiding(sq, 3000)
-    trace = iterate(A, h, IncrementConfig.desk())
+    trace = iterate(A, h, IncrementConfig())
     alphas = [r.alpha_m for r in trace.rows if r.option != "opt1"]
     assert all(alphas[i] < alphas[i + 1] for i in range(len(alphas) - 1))
     xs = [r.X_m for r in trace.rows if r.option != "opt1"]

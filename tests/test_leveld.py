@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysieve.harmonic import _fold_fft
+from polysieve.increment import IncrementConfig
 from polysieve.leveld import (
     ModulusFamily,
     build_family,
@@ -21,7 +22,7 @@ from polysieve.nt import factorize, primes_upto
 
 
 def test_build_family_variant1_example():
-    fam = build_family(1, 0.1, 0.5, {"C1": 1.0})
+    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
     assert fam.distinguished == 210**12
     assert sorted(fam.member_factors[0]) == [2, 3, 5, 7]
     assert fam.params["distinguished_exponent"] == 12
@@ -35,13 +36,13 @@ def test_build_family_variant1_example():
 
 def test_build_family_degenerate():
     # alpha close to 1/2 shrinks the reach until no extra primes fit
-    fam = build_family(1, 0.45, 0.5, {"C1": 0.01})
+    fam = build_family(1, 0.45, IncrementConfig(epsilon=0.5, C1=0.01))
     assert len(fam.members) >= 1
     assert fam.pairwise_coprime()
 
 
 def test_build_family_variant2():
-    fam = build_family(2, 0.05, 1.0)
+    fam = build_family(2, 0.05, IncrementConfig())
     assert fam.pairwise_coprime()
     expo = math.ceil(2 * 3 * math.log(math.log(20)) ** 2)
     assert fam.params["distinguished_exponent"] == expo
@@ -52,7 +53,7 @@ def test_build_family_variant2():
 )
 def test_distinguished_member_is_the_sequential_product(variant, alpha, epsilon):
     # the product tree against multiplying the prime powers one at a time
-    fam = build_family(variant, alpha, epsilon)
+    fam = build_family(variant, alpha, IncrementConfig(epsilon=epsilon))
     expo = fam.params["distinguished_exponent"]
     product = 1
     for p in sorted(fam.member_factors[0]):
@@ -63,9 +64,9 @@ def test_distinguished_member_is_the_sequential_product(variant, alpha, epsilon)
 
 def test_build_family_validation():
     with pytest.raises(ValueError):
-        build_family(1, 0.7, 1.0)
+        build_family(1, 0.7, IncrementConfig())
     with pytest.raises(ValueError):
-        build_family(3, 0.1, 1.0)
+        build_family(3, 0.1, IncrementConfig())
 
 
 def test_l_value_examples():
@@ -86,7 +87,7 @@ def test_l_value_bounded_by_omega():
 def test_denominator_lower_bound():
     # members above the smooth part are prime powers > Y; l(q) = d forces
     # q >= Y^(d-1)
-    fam = build_family(1, 0.1, 0.5, {"C1": 1.0})
+    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
     Y = fam.smooth_bound
     for q in range(2, 10**4 + 1):
         lv = l_value(q, fam)
@@ -187,7 +188,7 @@ def test_monte_carlo_dichotomy():
 
 
 def test_family_serialization():
-    fam = build_family(1, 0.1, 0.5, {"C1": 1.0})
+    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
     blob = fam.to_jsonable()
     assert blob["distinguished"]["primes"] == [2, 3, 5, 7]
     assert blob["distinguished"]["exponent"] == 12
@@ -322,7 +323,7 @@ def test_audit_runs_on_a_built_family(d):
     # A per-subset FFT would fold mod 6^10 * 1249 for one pair and visit
     # 1,373,701 triples; the closed form reads only the sets with product
     # at most X = 10^4
-    fam = build_family(1, 0.2, 1.0)
+    fam = build_family(1, 0.2, IncrementConfig())
     assert len(fam.members) == 203
     f = (np.random.default_rng(d).random(10**4) < 0.2).astype(float)
     rep = level_d_audit(f, fam, d, 0.2)
