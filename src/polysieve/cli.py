@@ -4,7 +4,7 @@ JSON-lines records, CSV side files, and report aggregation.
 Every task appends one record {task, params, result, duration_ms}; result
 fields are deterministic given (config, seed). Floats serialize as the
 shortest decimal that reads back to the same float, integers beyond 2^53 as
-decimal strings.
+decimal strings (hex strings past the interpreter's decimal digit limit).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -35,13 +35,19 @@ BIG_INT = 1 << 53
 
 def to_jsonable(obj: Any) -> Any:
     """Canonical JSON form: floats stay floats (json writes the shortest
-    round-trip repr, so 20.0 keeps its .0), big ints as strings, mappings
-    sorted by key."""
+    round-trip repr, so 20.0 keeps its .0), big ints as decimal strings, or
+    as hex strings tagged "0x" when too long for str(), mappings sorted by
+    key. int(s, 0) reads either string back."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
         v = int(obj)
-        return str(v) if abs(v) > BIG_INT else v
+        if abs(v) <= BIG_INT:
+            return v
+        try:
+            return str(v)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            return hex(v)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if math.isfinite(f) else repr(f)
@@ -81,9 +87,14 @@ class ExperimentConfig:
             raise ConfigError("config requires 'polynomial' and 'tasks'")
         poly = [int(c) for c in raw["polynomial"]]
         consts = raw.get("constants", {})
-        bad = set(consts) - {f.name for f in fields(increment.IncrementConfig)}
+        types = get_type_hints(increment.IncrementConfig)  # its fields, by name
+        bad = set(consts) - set(types)
         if bad:
             raise ConfigError(f"unknown constants: {sorted(bad)}")
+        for name, value in consts.items():
+            allowed = (int, float) if types[name] is float else (types[name],)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"constant {name} must be {types[name].__name__}, not {value!r}")
         tasks = []
         for i, t in enumerate(raw["tasks"]):
             extra = set(t) - {"name", "params"}

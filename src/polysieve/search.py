@@ -331,7 +331,7 @@ def _load_kernel():
     except OSError:  # not built yet, or removed by another version's build
         dll = _build_kernel(lib)
     kernel = dll.anchor_decide
-    kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 4 + [_TICK, ctypes.c_long]
+    kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 5 + [_TICK, ctypes.c_long, ctypes.POINTER(ctypes.c_long)]
     kernel.restype = ctypes.c_int
     _kernel = kernel
     return kernel
@@ -373,17 +373,44 @@ def _conflict_rows(F: Sequence[int], X_max: int, W: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype="<u8").astype(np.uint64)
 
 
+@lru_cache(maxsize=8)
+def _window_table(diffs: frozenset[int]) -> np.ndarray:
+    """The kernel's window table, read-only: entry p, for each 16-bit
+    pattern p, is the size of the largest subset of p's positions no two of
+    which differ by an element of diffs. A DP over the top bit i of p: skip
+    i, or take it and keep only the positions below it that do not clash
+    with it. Every temporary is at most 64 KiB: a larger one raises glibc's
+    mmap threshold, and the heap stays that much larger for the rest of the
+    process. Memoized on the differences, as a 64 KiB table built anew for
+    every call scatters the heap between the rows a caller keeps."""
+    T = np.zeros(1 << 16, dtype=np.uint8)
+    for i in range(16):
+        size = 1 << i
+        keep = 0xFFFF & ~sum(1 << (i - f) for f in diffs if 1 <= f <= i)
+        rest = np.arange(size, dtype=np.uint16)
+        rest &= keep  # take i: the positions below i left free
+        top = T[size : 2 * size]
+        np.take(T, rest, out=top, mode="clip")  # indices are below size: clip never acts
+        top += 1
+        np.maximum(top, T[:size], out=top)  # or skip i
+    T.flags.writeable = False
+    return T
+
+
 class DmaxTable(Sequence):
     """The rows (X, D(F, X), witness) of dmax_table for X = 1..len(table),
     built on access. D rises by at most 1 from row to row, and a row where it
     does not rise has the witness of the row before, so the table keeps one
     bit per row (does D rise here?) and one witness per value of D, packed
     into one buffer of equal-width little-endian words, instead of a tuple
-    and an AvoidingSet per row."""
+    and an AvoidingSet per row. The column nodes gives, for each row, the
+    number of nodes the kernel searched to decide it; it is kept as
+    little-endian base-128 varints, since most rows take under 2^14 nodes
+    and a row can take more than 2^32."""
 
-    __slots__ = ("_len", "_rises", "_witnesses", "_width")
+    __slots__ = ("_len", "_rises", "_witnesses", "_width", "_nodes")
 
-    def __init__(self, D: np.ndarray, witnesses: bytes):
+    def __init__(self, D: np.ndarray, witnesses: bytes, nodes: bytes):
         # D[0] = 0, then D(F, X) for each row X; witnesses holds the bits of
         # the first set found of each size d = 0..D[-1], one after another
         self._len = len(D) - 1
@@ -391,6 +418,19 @@ class DmaxTable(Sequence):
         self._rises = int.from_bytes(np.packbits(rises, bitorder="little").tobytes(), "little")
         self._witnesses = witnesses
         self._width = len(witnesses) // (self._rises.bit_count() + 1)
+        self._nodes = nodes
+
+    @property
+    def nodes(self) -> list[int]:
+        """The kernel's node count of each row, in row order."""
+        out, v, shift = [], 0, 0
+        for byte in self._nodes:
+            v |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                out.append(v)
+                v, shift = 0, 0
+        return out
 
     def _witness(self, d: int) -> int:
         return int.from_bytes(self._witnesses[d * self._width : (d + 1) * self._width], "little")
@@ -432,16 +472,18 @@ def dmax_table(
     by one would fit it in [1, X]. So each step is one decision search
     anchored at both ends, run by the compiled kernel: it is refuted at once
     when X is a difference, and otherwise pruned by the already-known
-    smaller entries (Russian-doll search) and by the number of free
-    positions left. The cuts keep every branch that holds a witness, so the
-    first witness found is the one the search anchored at X+1 alone finds.
-    Refutation steps still grow exponentially on
-    long plateaus; time_budget (seconds) aborts, between or inside steps,
-    with the finished rows attached to the exception. Inside a step the
-    kernel asks for the clock every _CLOCK_EVERY nodes, and only under a
-    budget. The kernel's conflict rows and level masks take about X_max^2/4
-    bytes (1 MB at the default cap). Raises RuntimeError when the kernel
-    cannot be built.
+    smaller entries (Russian-doll search) and by a window bound: the largest
+    avoiding subset of each 16-position block's free positions, read from a
+    table of all 2^16 free patterns (_window_table, built on first use for
+    each set of differences below 16). The cuts keep every branch that holds
+    a witness, so the first witness found is the one the search anchored at
+    X+1 alone finds. The table's nodes column counts the kernel's nodes for
+    each row. Refutation steps still grow exponentially on long plateaus;
+    time_budget (seconds) aborts, between or inside steps, with the finished
+    rows attached to the exception. Inside a step the kernel asks for the
+    clock every _CLOCK_EVERY nodes, and only under a budget. The kernel's
+    conflict rows and level masks take about X_max^2/4 bytes (1 MB at the
+    default cap). Raises RuntimeError when the kernel cannot be built.
     """
     if X_max > cap:
         raise ValueError(f"X_max = {X_max} exceeds the cap {cap}")
@@ -450,20 +492,33 @@ def dmax_table(
     deadline = None if time_budget is None else _clock() + time_budget
     W = X_max // 64 + 1  # words holding bits 0..X_max
     rows = _conflict_rows(F, X_max, W)  # differences beyond X_max-1 never matter
+    T = _window_table(frozenset(f for f in F if 1 <= f < 16))
     D = np.zeros(X_max + 1, dtype=np.intc)
+    nodes = bytearray()  # the node count of each row, as DmaxTable keeps it
+    count = ctypes.c_long()
     masks = np.zeros((X_max + 1) * W, dtype=np.uint64)  # one forbidden mask per level
     found = np.zeros(W, dtype=np.uint64)
     tick = _TICK() if deadline is None else _TICK(lambda: _clock() > deadline)  # _TICK() is NULL
     witnesses = bytearray(8 * W)  # the empty set, of size 0
+
+    def stopped(X):
+        partial = DmaxTable(D[:X], bytes(witnesses), bytes(nodes))
+        return TimeBudgetExceeded(partial, f"dmax table stopped at X = {X - 1}")
+
     for X in range(1, X_max + 1):
         if deadline is not None and _clock() > deadline:
-            raise TimeBudgetExceeded(DmaxTable(D[:X], bytes(witnesses)), f"dmax table stopped at X = {X - 1}")
+            raise stopped(X)
         target = int(D[X - 1]) + 1
-        r = kernel(X, target, W, D.ctypes.data, rows.ctypes.data, masks.ctypes.data, found.ctypes.data,
-                   tick, _CLOCK_EVERY)
+        r = kernel(X, target, W, D.ctypes.data, rows.ctypes.data, T.ctypes.data, masks.ctypes.data,
+                   found.ctypes.data, tick, _CLOCK_EVERY, ctypes.byref(count))
         if r < 0:
-            raise TimeBudgetExceeded(DmaxTable(D[:X], bytes(witnesses)), f"dmax table stopped at X = {X - 1}")
+            raise stopped(X)
+        v = count.value
+        while v >= 0x80:
+            nodes.append(v & 0x7F | 0x80)
+            v >>= 7
+        nodes.append(v)
         if r > 0:
             witnesses += found.astype("<u8").tobytes()
         D[X] = D[X - 1] + (r > 0)
-    return DmaxTable(D, bytes(witnesses))
+    return DmaxTable(D, bytes(witnesses), bytes(nodes))

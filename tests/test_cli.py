@@ -73,6 +73,15 @@ def test_config_constants_are_the_increment_config_fields():
         ExperimentConfig.from_dict({**MINIMAL, "preset": "paper"})
 
 
+def test_config_constants_are_type_checked():
+    # a string epsilon used to parse and then raise TypeError in the first step
+    for consts in ({"epsilon": "0.5"}, {"q_cap": 64.5}, {"rho": True}, {"C1": None}):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig.from_dict({**MINIMAL, "constants": consts})
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "constants": {"epsilon": 1, "q_cap": 32}})
+    assert cfg.increment_config().epsilon == 1 and cfg.increment_config().q_cap == 32
+
+
 def test_f_eval_task_matches_example(tmp_path):
     cfg = ExperimentConfig.from_dict(MINIMAL)
     run_experiment(cfg, tmp_path)
@@ -361,6 +370,15 @@ def test_json_canonicalization():
     for value, text in ((20.0, "20.0"), (1e16, "1e+16")):
         assert isinstance(to_jsonable(value), float)
         assert dumps_record({"v": value}) == f'{{"v":{text}}}'
+
+
+def test_huge_integers_as_tagged_hex():
+    # str() refuses an int past 4,300 decimal digits; hex() has no such limit
+    big = 10**5000
+    rec = json.loads(dumps_record({"lhs": big, "neg": -big, "edge": 10**4299}))
+    assert rec["lhs"] == hex(big) and int(rec["lhs"], 0) == big
+    assert int(rec["neg"], 0) == -big
+    assert rec["edge"] == str(10**4299)  # every int str() writes keeps its form
 
 
 def test_big_integers_as_strings(tmp_path):

@@ -201,13 +201,50 @@ def test_every_rise_has_a_witness_holding_both_ends(X_max, F):
         d_before = d
 
 
+def test_node_counts_repeat_and_start_at_zero():
+    table = dmax_table(SQ, 120)
+    assert len(table.nodes) == 120 and table.nodes == dmax_table(SQ, 120).nodes
+    # the kernel counts the same nodes whether or not it reads a clock
+    assert dmax_table(SQ, 120, time_budget=1e6).nodes == table.nodes
+    for X, nodes in zip(range(1, 121), table.nodes):
+        # a row whose X - 1 is forbidden is refuted before the search starts
+        assert (nodes == 0) == (X - 1 in SQ), X
+
+
+@given(st.sets(st.integers(1, 30), max_size=10), st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=20))
+@example({1, 4, 9}, [0xFFFF, 0, 1, 0x8001])
+@settings(max_examples=40, deadline=None)
+def test_window_table_matches_brute_force(F, patterns):
+    T = search._window_table(frozenset(F))
+    assert T.shape == (1 << 16,)
+    for p in patterns:
+        best, s = 0, p
+        while True:  # every subset s of p's positions
+            if all(not s & s >> f for f in F):
+                best = max(best, s.bit_count())
+            if s == 0:
+                break
+            s = (s - 1) & p
+        assert T[p] == best <= p.bit_count()
+
+
+def test_kernel_source_builds_without_warnings():
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("gcc not found")
+    args = [cc, "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(search._SOURCE)]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_time_budget_stops_inside_a_step(monkeypatch):
     def no_clock():
         raise AssertionError("clock read without a time budget")
 
     X_max = 60
     monkeypatch.setattr(search, "_clock", no_clock)
-    full = [d for _, d, _ in dmax_table(SQ, X_max)]
+    full_table = dmax_table(SQ, X_max)
+    full = [d for _, d, _ in full_table]
     # A clock that advances one second per reading. The readings taken
     # between steps alone stay inside the budget, so the table can only stop
     # early if the anchored search itself reads the clock; reading it every
@@ -220,6 +257,7 @@ def test_time_budget_stops_inside_a_step(monkeypatch):
     partial = exc.value.partial
     assert len(partial) < X_max
     assert [d for _, d, _ in partial] == full[: len(partial)]
+    assert partial.nodes == full_table.nodes[: len(partial)]
     assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
 
 
