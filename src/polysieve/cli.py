@@ -305,15 +305,20 @@ def _task_iterate(ctx: RunContext, p: dict) -> dict:
 
 def _task_dmax(ctx: RunContext, p: dict) -> dict:
     xm = int(p["x_max"])
-    forb = search.forbidden_values(
-        ctx.builder.context(1), xm, str(p["mode"]), U=float(p["U"])
-    )
-    table = search.dmax_table(forb, xm)
+    budget = float(p["budget"])  # seconds; 0.0 means no budget
+    if not budget >= 0:  # NaN too
+        raise ConfigError(f"dmax budget must be nonnegative, not {budget}")
+    forb = search.forbidden_values(ctx.builder.context(1), xm)
+    try:
+        table = search.dmax_table(forb, xm, time_budget=budget or None)
+    except search.TimeBudgetExceeded as exc:
+        table = exc.partial  # the rows finished in the budget: len(table) < x_max
     lines = ["X,D,witness"]
     for X, Dv, wit in table:
         lines.append(f"{X},{Dv},\"{json.dumps(wit.members())}\"")
     ctx.side_files.append(("dmax.csv", "\n".join(lines) + "\n"))
-    return {"x_max": xm, "final_D": table[-1][1], "table": [(X, Dv) for X, Dv, _ in table]}
+    final = table[-1][1] if table else 0  # an empty table: x_max = 0, or no row in the budget
+    return {"x_max": xm, "final_D": final, "table": [(X, Dv) for X, Dv, _ in table]}
 
 
 def _task_greedy(ctx: RunContext, p: dict) -> dict:
@@ -399,7 +404,7 @@ TASKS: dict[str, TaskDef] = {
     "iterate": TaskDef(
         {"set": {"kind": "greedy"}, "x": 2000}, _task_iterate, lambda r: r["invariants_ok"]
     ),
-    "dmax": TaskDef({"x_max": 60, "mode": "all", "U": 2.0}, _task_dmax),
+    "dmax": TaskDef({"x_max": 60, "budget": 0.0}, _task_dmax),
     "greedy": TaskDef(
         {"x_values": [1000, 10000]},
         _task_greedy,
@@ -505,7 +510,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "leveld": ("x", "alpha", "d", "trials"),
         "step": ("x",),
         "iterate": ("x",),
-        "dmax": ("x_max",),
+        "dmax": ("x_max", "budget"),
         "greedy": ("x_values",),
         "weight": ("t_max",),
     }

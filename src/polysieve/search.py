@@ -35,7 +35,6 @@ import numpy as np
 
 from .intersective import AuxiliaryContext
 from .polycore import IntPoly
-from .sieve import SieveTable, w_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,31 +116,13 @@ def image_values(poly: IntPoly, lo: int, hi: int) -> list[int]:
     return sorted(vals)
 
 
-def forbidden_values(
-    aux: AuxiliaryContext | IntPoly,
-    X: int,
-    mode: str = "all",
-    U: Optional[float] = None,
-    table: Optional[SieveTable] = None,
-) -> list[int]:
+def forbidden_values(aux: AuxiliaryContext, X: int) -> list[int]:
     """Image of the auxiliary polynomial over positive n, intersected with
-    [1, X]; mode "sieved" keeps only n in W(U)."""
-    poly = aux.aux if isinstance(aux, AuxiliaryContext) else aux
+    [1, X]."""
+    poly = aux.aux
     if poly.leading <= 0 or not poly.derivative().positive_for_all_n_from(1):
         raise ValueError("forbidden_values requires a polynomial increasing on the naturals")
-    if mode not in ("all", "sieved"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sieved" and table is None:
-        if U is None:
-            raise ValueError("mode 'sieved' needs U or a prebuilt table")
-        if not isinstance(aux, AuxiliaryContext):
-            raise ValueError("mode 'sieved' needs an AuxiliaryContext")
-        table = SieveTable.build(aux, U)
-    n_max = poly.largest_n_at_most(X)
-    if mode == "all":
-        ns = np.arange(1, n_max + 1)
-    else:
-        ns = np.flatnonzero(w_mask(table, n_max)[1:]) + 1
+    ns = np.arange(1, poly.largest_n_at_most(X) + 1)
     # poly increases on n >= 1, so the values come out sorted and distinct
     return [v for v in poly(ns).tolist() if v >= 1]
 
@@ -328,7 +309,7 @@ def _load_kernel():
     lib = cache / f"anchor-{key}.so"
     try:
         dll = ctypes.CDLL(str(lib))
-    except OSError:  # not built yet, or removed by another version's build
+    except OSError:  # not built yet, or not a library
         dll = _build_kernel(lib)
     kernel = dll.anchor_decide
     kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 5 + [_TICK, ctypes.c_long, ctypes.POINTER(ctypes.c_long)]
@@ -338,10 +319,10 @@ def _load_kernel():
 
 
 def _build_kernel(lib: Path) -> ctypes.CDLL:
-    """Compile _anchor.c under a temporary name, load it, rename it to lib,
-    and remove the libraries of every other version from lib's directory.
-    A process never loads a half-written library, and loading before the
-    rename means another version's clean-up cannot remove this one first."""
+    """Compile _anchor.c under a temporary name, load it and rename it to
+    lib, so a process never loads a half-written library. The libraries of
+    other versions stay, so checkouts of different versions used in turn
+    each build theirs once."""
     import subprocess  # here, so that importing polysieve stays as fast
 
     cc = _compiler()
@@ -357,9 +338,6 @@ def _build_kernel(lib: Path) -> ctypes.CDLL:
         os.replace(tmp, lib)
     finally:
         Path(tmp).unlink(missing_ok=True)
-    for old in lib.parent.glob("anchor-*.so"):
-        if old != lib:
-            old.unlink(missing_ok=True)
     return dll
 
 

@@ -1,15 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polysieve import harmonic
+from polysieve import harmonic, search
 from polysieve.cli import (
     TASKS,
     ConfigError,
@@ -42,7 +40,7 @@ def test_config_strictness():
         ExperimentConfig.from_dict(
             {**MINIMAL, "tasks": [{"name": "no_such_task", "params": {}}]}
         )
-    for name, key in (("f_eval", "wat"), ("check", "depth_bound")):
+    for name, key in (("f_eval", "wat"), ("check", "depth_bound"), ("dmax", "mode"), ("dmax", "U")):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {**MINIMAL, "tasks": [{"name": name, "params": {key: 1}}]}
@@ -303,8 +301,9 @@ def test_report_no_tasks(tmp_path):
 def test_cli_subcommands_smoke(tmp_path):
     assert main(["check", "--poly", "0,0,1", "--out", str(tmp_path / "c")]) == 0
     assert main(["sieve", "--U", "5", "--out", str(tmp_path / "s")]) == 0
-    assert main(["dmax", "--x-max", "30", "--out", str(tmp_path / "d")]) == 0
+    assert main(["dmax", "--x-max", "30", "--budget", "600", "--out", str(tmp_path / "d")]) == 0
     assert (tmp_path / "d" / "dmax.csv").exists()
+    assert _task_record(tmp_path / "d")["params"] == {"x_max": 30, "budget": 600.0}
     assert main(["report", "--out", str(tmp_path / "d")]) == 0
     assert main(["greedy", "--x-values", "500,1000", "--out", str(tmp_path / "g")]) == 0
     assert _task_record(tmp_path / "g")["params"] == {"x_values": [500, 1000]}
@@ -401,24 +400,45 @@ def test_bundled_default_config_parses():
     assert cfg.tasks
 
 
-@pytest.mark.parametrize(
-    "script, args, expected",
-    [
-        ("gauss_cancellation.py", ["30"], "q,a,magnitude,sqrt_q,ratio_to_q06\n"),
-        ("extremal_table.py", ["40", "30"], "X,D,witness\n"),
-    ],
-    ids=["gauss_cancellation", "extremal_table"],
-)
-def test_scripts_run(script, args, expected):
-    """Each script runs as users run it and prints its header."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert expected in proc.stdout
+def _dmax_run(tmp_path, sub, **params):
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [{"name": "dmax", "params": params}]})
+    run_experiment(cfg, tmp_path / sub)
+    return _task_record(tmp_path / sub)["result"], (tmp_path / sub / "dmax.csv").read_text().splitlines()
+
+
+def test_dmax_budget_keeps_a_prefix_of_the_table(tmp_path, monkeypatch):
+    full, full_csv = _dmax_run(tmp_path, "full", x_max=60)
+    # a clock one second ahead at each reading, read every 64 nodes inside a
+    # step: the budget runs out inside the table, at the same row every run
+    monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
+    readings = itertools.count()
+    monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
+    part, part_csv = _dmax_run(tmp_path, "part", x_max=60, budget=60.5)
+    n = len(part["table"])
+    assert 0 < n < 60 and part["x_max"] == 60
+    assert part["table"] == full["table"][:n] and part["final_D"] == part["table"][-1][1]
+    assert part_csv == full_csv[: n + 1]
+
+
+def test_dmax_records_final_d_0_for_an_empty_table(tmp_path, monkeypatch):
+    # x_max = 0 used to raise IndexError; so did a budget out before row 1
+    empty = ["X,D,witness"]
+    assert _dmax_run(tmp_path, "zero", x_max=0) == ({"x_max": 0, "final_D": 0, "table": []}, empty)
+    readings = iter([0.0])  # the deadline's reading; every later one is late
+    monkeypatch.setattr(search, "_clock", lambda: next(readings, 10.0))
+    assert _dmax_run(tmp_path, "late", x_max=60, budget=1.0) == ({"x_max": 60, "final_D": 0, "table": []}, empty)
+
+
+def test_dmax_budget_not_hit_keeps_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_clock", lambda: 0.0)  # a budget that never runs out
+    [task] = [t for t in ExperimentConfig.load(DEFAULT_CONFIG).tasks if t["name"] == "dmax"]
+    for budget in (0.0, 1.0):
+        result, _ = _dmax_run(tmp_path, str(budget), **task["params"], budget=budget)
+        blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_EXACT_DIGESTS["dmax"]
+
+
+def test_dmax_rejects_a_negative_budget(tmp_path):
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="budget"):
+            _dmax_run(tmp_path, "bad", x_max=10, budget=budget)

@@ -28,7 +28,6 @@ from polysieve.search import (
     image_values,
     verify_avoiding,
 )
-from polysieve.sieve import SieveTable, in_W
 
 SQ = squares_upto(10**5)
 
@@ -36,13 +35,12 @@ SQ = squares_upto(10**5)
 def test_forbidden_values_examples():
     ctx = AuxiliaryBuilder(IntPoly((0, 0, 1))).context(1)
     assert forbidden_values(ctx, 30) == [1, 4, 9, 16, 25]
-    assert forbidden_values(ctx, 30, "sieved", U=2) == [1, 9, 25]
     aux2 = AuxiliaryBuilder(IntPoly((-1, 0, 1))).context(2)
     assert aux2.aux.coeffs == (0, -2, 2)
     assert forbidden_values(aux2, 30) == [4, 12, 24]
 
 
-def _forbidden_per_n(poly, X, table=None):
+def _forbidden_per_n(poly, X):
     """The per-n scan forbidden_values used to run: reference only."""
     vals = []
     n = 1
@@ -50,7 +48,7 @@ def _forbidden_per_n(poly, X, table=None):
         v = poly(n)
         if v > X:
             break
-        if v >= 1 and (table is None or in_W(n, table)):
+        if v >= 1:
             vals.append(v)
         n += 1
     return sorted(set(vals))
@@ -61,12 +59,8 @@ def test_forbidden_values_matches_per_n_scan(normalized_fixtures):
         builder = AuxiliaryBuilder(h)
         for ell in (1, 6):
             ctx = builder.context(ell)
-            tables = [SieveTable.build(ctx, U) for U in (2, 10)]
             for X in (1, 50, 10**4):
                 assert forbidden_values(ctx, X) == _forbidden_per_n(ctx.aux, X)
-                for table in tables:
-                    expect = _forbidden_per_n(ctx.aux, X, table)
-                    assert forbidden_values(ctx, X, "sieved", table=table) == expect
 
 
 def test_exact_examples():
@@ -383,17 +377,18 @@ def test_warm_cache_loads_without_compiler(monkeypatch, tmp_path):
     assert _kernel_table(SQ, 30) == want
 
 
-def test_build_removes_other_versions(monkeypatch, tmp_path):
+def test_build_keeps_other_versions(monkeypatch, tmp_path):
+    # checkouts of different versions used in turn each build theirs once
     cache = tmp_path / "kernels"
     cache.mkdir(mode=0o700)
-    (cache / "anchor-0123456789abcdef.so").write_bytes(b"a library of another version")
-    (cache / "notes.txt").write_text("not a library")
+    other = cache / "anchor-0123456789abcdef.so"
+    other.write_bytes(b"a library of another version")
     monkeypatch.setattr(search, "_kernel", None)
     monkeypatch.setattr(search, "_cache_dir", lambda: cache)
     assert _kernel_table(SQ, 30) == _reference_table(SQ, 30)
-    names = sorted(p.name for p in cache.iterdir())
-    assert len(names) == 2 and names[0].startswith("anchor-") and names[0].endswith(".so")
-    assert names[0] != "anchor-0123456789abcdef.so" and names[1] == "notes.txt"
+    built = [p for p in cache.iterdir() if p != other]
+    assert len(built) == 1 and built[0].name.startswith("anchor-") and built[0].suffix == ".so"
+    assert other.read_bytes() == b"a library of another version"
 
 
 def test_unloadable_library_is_built_once(monkeypatch, tmp_path):
