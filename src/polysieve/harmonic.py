@@ -245,17 +245,24 @@ def _low64(values: np.ndarray) -> np.ndarray:
     return values.astype(np.uint64)
 
 
-def _phases_mod1(values: np.ndarray, theta, low64: Optional[np.ndarray] = None) -> np.ndarray:
+def _dyadic64(den: int) -> bool:
+    """Whether den is a power of two <= 2^64: a theta with this denominator
+    needs only the values mod 2^64 in _phases_mod1."""
+    return den & (den - 1) == 0 and den <= 1 << 64
+
+
+def _phases_mod1(values: Optional[np.ndarray], theta, low64: Optional[np.ndarray] = None) -> np.ndarray:
     """values * theta mod 1, reduced exactly in integers and rounded once.
 
     theta is the rational num/den that it is (exact for a float). A power of
     two den <= 2^64 reduces in wrapping uint64 products of values mod 2^64
-    (low64, when a caller with several thetas has it already), any den < 2^31
-    in int64, and every other den in object integers.
+    (low64, when a caller with several thetas has it already; values may
+    then be None), any den < 2^31 in int64, and every other den in object
+    integers.
     """
     num, den = Fraction(theta).as_integer_ratio()
     num %= den
-    if den & (den - 1) == 0 and den <= 1 << 64:
+    if _dyadic64(den):
         if low64 is None:
             low64 = _low64(values)
         red = low64 * np.uint64(num) & np.uint64(den - 1)
@@ -299,58 +306,116 @@ def _units_mod(q: int) -> np.ndarray:
 _DCT_BASE = 1 << 10  # _cosine_spectrum halves no DCT-I of this size or less
 
 
-def _cosine_spectrum(x: np.ndarray, N: int) -> np.ndarray:
-    """out[j] = sum_n x[n] cos(2 pi n j / N) for j = 0..N-1, from x of length
-    N // 2 + 1; the spectrum of the real even sequence that x folds, itself
-    real and even (out[N - j] == out[j]). x is overwritten.
+def _union(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the slot among them of each key.
+
+    A stable argsort, which timsort does in O(len(keys)) when the keys are a
+    few ascending runs, as every caller's are."""
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    new = np.empty(srt.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    slot = np.empty(srt.size, dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    return srt[new], slot
+
+
+def _even_fold(vals: np.ndarray, weights: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights at v folded onto min(v mod N, N - v mod N): the distinct
+    indices, ascending, and each one's sum, taken from 0.0 in input order as
+    np.bincount sums."""
+    r = vals % N
+    idx, slot = _union(np.minimum(r, N - r))
+    sums = np.zeros(idx.size)
+    np.add.at(sums, slot, weights)
+    return idx, sums
+
+
+def _spread(size: int, slot: np.ndarray, vals: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """A length-size array of fill with vals at slot."""
+    out = np.full(size, fill)
+    out[slot] = vals
+    return out
+
+
+def _cosine_spectrum(idx: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
+    """out[j] = sum_n x_n cos(2 pi n j / N) for j = 0..N-1, from the support
+    of x_0..x_{N // 2}: indices idx, ascending and distinct, and their
+    values x; every other x_n is 0. The spectrum of the real even
+    sequence that x folds, itself real and even (out[N - j] == out[j]).
 
     For even N = 2M, out[:M + 1] is the DCT-I G(j) = sum x_n cos(pi n j / M).
     Its even outputs are a DCT-I of size M/2 on y_m = x_m + x_{M-m}
-    (y_{M/2} = x_{M/2}), built in place in x[:M/2 + 1]; its odd outputs
-    G(2k + 1) are the DCT-III sum_{m < L} z_m cos(pi m (2k + 1) / 2L) of
-    z_m = x_m - x_{M-m}, L = M/2, which one irfft of length L gives
-    (Makhoul, IEEE TASSP 1980): with H_0 = z_0 and
-    H_m = e(m / 4L) (z_m - i z_{L-m}) / 2, the irfft's entry n is G(4n + 1)
-    for n < L/2 and G(2M - 4n - 1) after. The loop halves M while it is even
-    and above _DCT_BASE, writing each level into a strided view of the
-    output, and one rfft of the symmetric extension ends it; so the work is
-    irfft(N/4) + irfft(N/8) + ... instead of rfft(N). The twiddles are
-    computed once, at the top level; level k takes every 2^k-th. The upper
-    half of the output is scratch until the final mirror.
+    (y_{M/2} = x_{M/2}); its odd outputs G(2k + 1) are the DCT-III
+    sum_{m < L} z_m cos(pi m (2k + 1) / 2L) of z_m = x_m - x_{M-m},
+    L = M/2, which one irfft of length L gives (Makhoul, IEEE TASSP 1980):
+    with H_0 = z_0 and H_m = e(m / 4L) (z_m - i z_{L-m}) / 2, the irfft's
+    entry n is G(4n + 1) for n < L/2 and G(2M - 4n - 1) after. The loop
+    halves M while it is even and above _DCT_BASE, writing each level into
+    a strided view of the output, and one rfft of the symmetric extension
+    ends it; so the work is irfft(N/4) + irfft(N/8) + ... instead of
+    rfft(N).
+
+    Each level works on the support alone: an index s < L of x stays, one
+    above L maps to M - s, and the two ascending runs merge into the
+    support of y and z. H is zero but at the at most 2K indices that z
+    reaches, K the support's size, and its twiddles are computed there
+    only, H_i's at angle (i * 2^k) * (pi / 2 L_0) on level k (L_0 the top
+    level's L). Every sum and product, signed zeros included, is the one
+    the dense transform takes, so the output is bit for bit the same. The
+    upper half of the output is scratch until the final mirror.
     """
     M = N // 2
     out = np.empty(N)
-    view, m, step, tw = out[: M + 1], M, 1, None
+    view, m, step, unit = out[: M + 1], M, 1, None
     while N % 2 == 0 and m % 2 == 0 and m > _DCT_BASE:
         L = m // 2
         h = L // 2 + 1
-        if tw is None:
-            tw = np.empty(h, dtype=complex)
-            angle = np.arange(h) * (0.5 * np.pi / L)
-            np.cos(angle, out=tw.real)
-            np.sin(angle, out=tw.imag)
-            del angle
-            tw *= 0.5
-        z = out[M + 1 : M + 1 + L]
-        np.subtract(x[:L], x[m:L:-1], out=z)
-        x[:L] += x[m:L:-1]
-        H = np.empty(h, dtype=complex)
-        H.real = z[:h]
-        H.imag[0] = 0.0
-        np.negative(z[L - 1 : L - h : -1], out=H.imag[1:])
-        H[1:] *= tw[step : step * h : step]
-        np.fft.irfft(H, L, norm="forward", out=z)
+        if unit is None:
+            unit = 0.5 * np.pi / L
+        # x_s for s < L, and x_{m-s} for s > L, on one ascending union
+        lo = np.searchsorted(idx, L)
+        hi = lo + int(lo < idx.size and idx[lo] == L)
+        pos, slot = _union(np.concatenate([idx[:lo], m - idx[hi:][::-1]]))
+        a = _spread(pos.size, slot[:lo], x[:lo])
+        b = _spread(pos.size, slot[lo:], x[hi:][::-1])
+        z = a - b
+        # H_i on the indices u that z reaches: z_i for i < h and -z_{L-i}
+        # for i > 0, an absent one +0 and -0 as in the dense transform,
+        # and every H_i but H_0 times its twiddle
+        nre = np.searchsorted(pos, h)
+        nim = np.searchsorted(pos, L - h, side="right")
+        u, uslot = _union(np.concatenate([pos[:nre], L - pos[nim:][::-1]]))
+        Hu = np.empty(u.size, dtype=complex)
+        Hu.real = _spread(u.size, uslot[:nre], z[:nre])
+        Hu.imag = _spread(u.size, uslot[nre:], np.negative(z[nim:][::-1]), -0.0)
+        k0 = int(u.size > 0 and u[0] == 0)
+        Hu.imag[:k0] = 0.0
+        angle = (u[k0:] * step) * unit
+        tw = np.empty(angle.size, dtype=complex)
+        np.cos(angle, out=tw.real)
+        np.sin(angle, out=tw.imag)
+        tw *= 0.5
+        Hu[k0:] *= tw
+        H = np.zeros(h, dtype=complex)
+        H[u] = Hu
+        w = out[M + 1 : M + 1 + L]
+        np.fft.irfft(H, L, norm="forward", out=w)
         del H
         k = (L + 1) // 2
-        view[1:m:4] = z[:k]
-        view[3:m:4] = z[k:][::-1]
-        view, x, m, step = view[::2], x[: L + 1], L, 2 * step
-    del tw  # freed before the base and the mirror touch new pages
+        view[1:m:4] = w[:k]
+        view[3:m:4] = w[k:][::-1]
+        y = a + b
+        if hi > lo:  # y_L = x_L
+            pos, y = np.append(pos, L), np.append(y, x[lo])
+        view, idx, x, m, step = view[::2], pos, y, L, 2 * step
     # the base: rfft of the even extension of x, whose interior holds half
     # of each x_n on either side; at the top level it is built in the output
     n = N if step == 1 else 2 * m
     ext = out if step == 1 else np.empty(n)
-    ext[: m + 1] = x
+    ext[: m + 1] = 0.0
+    ext[idx] = x
     ext[1 : n - m] *= 0.5
     ext[m + 1 :] = ext[n - m - 1 : 0 : -1]
     view[:] = np.fft.rfft(ext).real
@@ -362,7 +427,8 @@ def _cosine_spectrum(x: np.ndarray, N: int) -> np.ndarray:
 class Spectrum:
     n: int
     # f^(j/N) for j = 0..N-1: float64 for a WeightedImage, whose spectrum is
-    # real and even, complex128 for every other source
+    # real and even (computed from its folded support, bit for bit the dense
+    # cosine transform's output), complex128 for every other source
     values: np.ndarray
 
 
@@ -370,19 +436,20 @@ def fourier_grid(source: Source, N: int) -> Spectrum:
     """f^(j/N) for j = 0..N-1; agrees with fourier_point at every j/N.
 
     A WeightedImage is real and even: its weights at +-v fold onto
-    min(v mod N, N - v mod N), and one cosine transform at half the length
-    (_cosine_spectrum) gives the spectrum as float64 values. Any other
-    source folds onto v mod N and takes an FFT (_fold_fft), giving
-    complex128 values.
+    min(v mod N, N - v mod N), kept as the support's distinct indices and
+    their sums (_even_fold, no length-N/2 array), and one cosine transform
+    at half the length on that support (_cosine_spectrum) gives the
+    spectrum as float64 values. Its cost is the inverse FFTs and O(K) a
+    level for K folded points; its peak is the N outputs and one N/8-point
+    complex array. Any other source folds onto v mod N and takes an FFT
+    (_fold_fft), giving complex128 values.
     """
     vals, weights = _support(source)
     maxmag = int(np.abs(vals).max(initial=0))
     if N < 2 * maxmag + 1:
         raise ValueError(f"grid size {N} too small for support magnitude {maxmag}")
     if isinstance(source, WeightedImage):
-        r = vals % N
-        x = np.bincount(np.minimum(r, N - r), weights, minlength=N // 2 + 1)
-        return Spectrum(N, _cosine_spectrum(x, N))
+        return Spectrum(N, _cosine_spectrum(*_even_fold(vals, weights, N), N))
     return Spectrum(N, _fold_fft(vals, weights, N))
 
 
@@ -474,7 +541,13 @@ def weyl_sum_audit(
 ) -> WeylReport:
     """Exact |sum over n <= N in W(U) of e(theta h(n))| against the two-term
     envelope N (log U)^{ek} [exp(-log Z/log U) + (b_k log^{k^2}(b_k q N)
-    (1/q + Z/N + q Z^k/(b_k N^k)))^{1/K}] with (a, q) a convergent of theta."""
+    (1/q + Z/N + q Z^k/(b_k N^k)))^{1/K}] with (a, q) a convergent of theta.
+
+    A theta whose denominator is a power of two <= 2^64 (every float of
+    magnitude at least 2^-12) needs only h(n) mod 2^64, which
+    IntPoly.eval_low64 gives in uint64 once for all such thetas. The exact
+    values h(n), object integers once they pass int64, are built only when
+    some theta has another denominator."""
     if Z is None:
         Z = N / max(U, 2.0)
     if U < 2 or Z < 2 or N < 4 or U * Z > N * (1 + 1e-9):
@@ -485,8 +558,10 @@ def weyl_sum_audit(
     k = poly.degree
     K = 2**k
     b_k = poly.leading
-    vals = poly(np.flatnonzero(w_mask(table, N)[1:]) + 1)
-    low64 = _low64(vals)  # reduced once for all thetas
+    ns = np.flatnonzero(w_mask(table, N)[1:]) + 1
+    low64 = poly.eval_low64(ns)  # every dyadic theta reduces these
+    dyadic = all(_dyadic64(Fraction(t).denominator) for t in theta_samples)
+    vals = None if dyadic else poly(ns)  # object integers for the sextic
     logU = math.log(U)
     samples = []
     for theta in theta_samples:

@@ -448,7 +448,8 @@ class AuxiliaryBuilder:
             bound = coefficient_bound(self.h) * ell ** (self.h.degree - 1)
             if aux.max_abs_coeff() > bound:
                 raise AssertionError("coefficient bound violated")
-        roots = {p: z for p, (_, z) in local.items()}
+        # each root at v_p(ell), whatever precision the builder holds it to
+        roots = {p: LocalRootData(p, z.residue(a), z.multiplicity, a) for p, (a, z) in local.items()}
         ctx = AuxiliaryContext(self.h, ell, r, lam, aux, roots, self)
         self._ctx[ell] = ctx
         return ctx

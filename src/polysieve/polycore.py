@@ -2,8 +2,9 @@
 
 Coefficients are stored constant term first, so ``coeffs[i]`` is the
 coefficient of x**i. IntPoly is the package's one polynomial evaluator: at
-a scalar or elementwise on an integer array, optionally mod m. Evaluation is
-exact; an array uses int64 only where no intermediate can overflow.
+a scalar or elementwise on an integer array, optionally mod m or, on an
+array, mod 2**64 in wrapping uint64. Evaluation is exact; an array uses
+int64 only where no intermediate can overflow.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ class IntPoly:
         acc = 0
         for c in reversed(cs):
             acc = (acc * x + c) % m
+        return acc
+
+    def eval_low64(self, x: np.ndarray) -> np.ndarray:
+        """self(x) mod 2**64 as uint64, elementwise on an integer ndarray.
+
+        Horner in wrapping uint64 arithmetic on the coefficients and the
+        elements mod 2**64: exact for any coefficient size, since mod 2**64
+        is a ring homomorphism, and never builds the values themselves.
+        """
+        if x.dtype == object:
+            x = x & ((1 << 64) - 1)
+        x = x.astype(np.uint64)
+        acc = np.zeros(x.shape, dtype=np.uint64)
+        for c in reversed(self.coeffs):
+            acc *= x
+            acc += np.uint64(c % (1 << 64))
         return acc
 
     def roots_mod(self, m: int) -> list[int]:

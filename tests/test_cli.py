@@ -225,7 +225,7 @@ def test_failed_verdict_exits_nonzero(tmp_path, monkeypatch, capsys):
 # bits may move with numpy
 DEFAULT_EXACT_DIGESTS = {
     "check": "8632565275ef59f7ef5735a664c4473c5d60824ff5cdbdc2e4e7a59f43fe2528",
-    "aux": "bcd3877a54515a5e55c1de00255c78c04d02d77d118dee11b87980ffef7d8a88",
+    "aux": "bd32f6e75f9bcd4941c5b9391ee6077be39170eb8e58a7f04f33340061f99ff2",
     "sieve": "a3bda108a4b5e5b122d6f2ad9923b23857b51c293ddd20bc4a2644d9cc04f57c",
     "dmax": "0deb107d9cba46e73b8182657f52520dcd139993ef10d558c1a212da4b49b66e",
 }

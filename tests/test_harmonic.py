@@ -274,31 +274,128 @@ def test_cosine_spectrum_matches_rfft_of_even_extension(N, seed):
     ext[M + 1 :] = ext[N - M - 1 : 0 : -1]
     half = np.fft.rfft(ext).real
     want = np.concatenate([half, half[N - M - 1 : 0 : -1]])
-    got = _cosine_spectrum(x.copy(), N)
+    got = _cosine_spectrum(np.arange(M + 1), x, N)
     assert got.dtype == np.float64 and np.array_equal(got[1:], got[:0:-1])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(x).sum()
 
 
+def _cosine_spectrum_dense(x, N):
+    """The dense transform that the support-only _cosine_spectrum replaced:
+    x holds every x_n, n = 0..N // 2, and is overwritten; the twiddles are
+    one table at the top level. Reference only."""
+    M = N // 2
+    out = np.empty(N)
+    view, m, step, tw = out[: M + 1], M, 1, None
+    while N % 2 == 0 and m % 2 == 0 and m > harmonic._DCT_BASE:
+        L = m // 2
+        h = L // 2 + 1
+        if tw is None:
+            tw = np.empty(h, dtype=complex)
+            angle = np.arange(h) * (0.5 * np.pi / L)
+            np.cos(angle, out=tw.real)
+            np.sin(angle, out=tw.imag)
+            tw *= 0.5
+        z = out[M + 1 : M + 1 + L]
+        np.subtract(x[:L], x[m:L:-1], out=z)
+        x[:L] += x[m:L:-1]
+        H = np.empty(h, dtype=complex)
+        H.real = z[:h]
+        H.imag[0] = 0.0
+        np.negative(z[L - 1 : L - h : -1], out=H.imag[1:])
+        H[1:] *= tw[step : step * h : step]
+        np.fft.irfft(H, L, norm="forward", out=z)
+        k = (L + 1) // 2
+        view[1:m:4] = z[:k]
+        view[3:m:4] = z[k:][::-1]
+        view, x, m, step = view[::2], x[: L + 1], L, 2 * step
+    n = N if step == 1 else 2 * m
+    ext = out if step == 1 else np.empty(n)
+    ext[: m + 1] = x
+    ext[1 : n - m] *= 0.5
+    ext[m + 1 :] = ext[n - m - 1 : 0 : -1]
+    view[:] = np.fft.rfft(ext).real
+    out[M + 1 :] = out[N - M - 1 : 0 : -1]
+    return out
+
+
+def _dense_grid(vals, weights, N):
+    """fourier_grid of an even support by the dense fold and transform."""
+    r = vals % N
+    return _cosine_spectrum_dense(np.bincount(np.minimum(r, N - r), weights, minlength=N // 2 + 1), N)
+
+
+def _support_of(kind, N, rng):
+    """(positions, weights) whose folded support is sparse, dense, or holds
+    s and M - s together, which the top halving pairs, with s reached three
+    times (as s, -s and s + N)."""
+    M = N // 2
+    if kind == "sparse":
+        pos = rng.integers(-3 * N, 3 * N, int(rng.integers(0, 80)))
+    elif kind == "dense":
+        pos = np.concatenate([np.arange(M + 1), -np.arange(M + 1)])
+    else:
+        s = rng.integers(0, M + 1, int(rng.integers(1, 40)))
+        pos = np.concatenate([s, M - s, -s, s + N])
+    weights = rng.standard_normal(pos.size)
+    # exact zeros of either sign and cancelling pairs: the dense transform's
+    # signed zeros must come out the same
+    special = rng.random(pos.size)
+    weights[special < 0.1] = 0.0
+    weights[(0.1 <= special) & (special < 0.2)] = -0.0
+    return pos, weights
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sparse", "dense", "mirrored"]),
+    st.one_of(st.integers(1, 1 << 14), st.sampled_from([1 << 15, 1 << 16, 3 << 13, (1 << 15) + 6])),
+)
+@example(0, "sparse", 1 << 14)
+@example(1, "dense", 1 << 14)
+@example(2, "mirrored", 1 << 16)
+@example(3, "mirrored", (1 << 14) + 1)  # odd N: no halving, one dense rfft
+@example(4, "dense", 1)
+@settings(max_examples=200, deadline=None)
+def test_cosine_spectrum_on_the_support_is_the_dense_one_bit_for_bit(seed, kind, N):
+    rng = np.random.default_rng(seed)
+    pos, weights = _support_of(kind, N, rng)
+    got = _cosine_spectrum(*harmonic._even_fold(pos, weights, N), N)
+    assert got.tobytes() == _dense_grid(pos, weights, N).tobytes()
+
+
+def test_weighted_image_grid_is_the_dense_one_bit_for_bit(smooth24, x2ctx):
+    # the minor-arc audit's image: X = 10^6, N = 2^21
+    img = g_build(x2ctx, 10**6, 2.0, smooth24)
+    N = 1 << 21
+    got = fourier_grid(img, N).values
+    assert got.tobytes() == _dense_grid(*_support(img), N).tobytes()
+
+
 def test_weighted_image_grid_memory():
-    # the cosine transform keeps the N float64 outputs, the M + 1 folded
-    # weights and N/8 twiddles; a complex N-point grid would add 16N bytes
+    # the cosine transform keeps the N float64 outputs and one N/8-point
+    # complex H a level, about 11 bytes a point; a dense fold of the M + 1
+    # weights and an N/8-point twiddle table would add 4N. The peak is the
+    # child's VmHWM, which starts afresh at exec: ru_maxrss would carry over
+    # the resident set of the process that forked it.
     N = 1 << 23
     code = (
-        "import resource\n"
         "from polysieve.harmonic import fourier_grid, g_build, smooth_weight_build\n"
         "from polysieve.intersective import AuxiliaryBuilder\n"
         "from polysieve.polycore import IntPoly\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
         "aux = AuxiliaryBuilder(IntPoly((0, 0, 1))).context(1)\n"
         "img = g_build(aux, 2 * 10**6, 2.0, smooth_weight_build(24, 2**12))\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         f"spec = fourier_grid(img, {N})\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak() - before)\n"
     )
     path = [str(Path(harmonic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) * 1024 < 2 * 8 * N  # ru_maxrss counts KiB on Linux
+    assert int(proc.stdout) * 1024 < 12 * N  # VmHWM counts KiB
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +520,34 @@ def test_weyl_object_values_small_theta(fixtures):
         for n in ns
     )
     assert abs(rep.samples[0].lhs - abs(ref)) <= 1e-9 * len(ns)
+
+
+def test_weyl_float_thetas_build_no_object_values(fixtures, monkeypatch):
+    # a float theta >= 2^-12 has a power-of-two denominator <= 2^64, so its
+    # phases need h(n) mod 2^64 only: the sextic's values past 2^63 are
+    # never built as object integers, and each sum is the one they give
+    ctx = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    table = SieveTable.build(ctx, 4.0)
+    thetas = [0.1, (math.sqrt(5) - 1) / 2, 0.125, 0.999]
+    built = []
+    call = IntPoly.__call__
+
+    def spy(self, x):
+        out = call(self, x)
+        if isinstance(out, np.ndarray) and out.dtype == object:
+            built.append(out.size)
+        return out
+
+    monkeypatch.setattr(IntPoly, "__call__", spy)
+    rep = weyl_sum_audit(ctx, 4.0, 10**4, thetas, table=table)
+    assert built == []
+    weyl_sum_audit(ctx, 4.0, 10**4, [Fraction(1, 3)], table=table)
+    assert built  # another denominator needs the values themselves
+    monkeypatch.undo()
+    vals = ctx.aux(np.flatnonzero(w_mask(table, 10**4)[1:]) + 1)
+    assert vals.dtype == object
+    for s, theta in zip(rep.samples, thetas):
+        assert s.lhs == abs(complex(np.sum(np.exp(-2j * np.pi * _phases_mod1(vals, theta)))))
 
 
 def test_weyl_rational_theta_exact(x2ctx):

@@ -136,17 +136,35 @@ SEXTIC_POSITIVE = IntPoly((-818925, 663796, 287915, 40824, 2689, 84, 1))
 @pytest.mark.parametrize(
     "h, digest",
     [
-        (IntPoly((-1, 0, 1)), "fc9b72050b4ef2dc59aaaef5ac35bea174ed0cbdc8f8177860559ff07a818856"),
-        (IntPoly((0, 0, -1, 1)), "7555af344975fb8a2a20b2785c0b6b13fa59c010fd4c30d51383e779e65ab667"),
-        (SEXTIC_POSITIVE, "87a0b6db28dc4647b81166da81b077c4b776bb3b4b0da288eec91fa7e86ad8d0"),
+        (IntPoly((-1, 0, 1)), "ff0f2c2e82e6309518a3fb22908ef9075bdcfd3e50d3819068185dd4fd7a0137"),
+        (IntPoly((0, 0, -1, 1)), "f1d839d9ad73465e52d84b6a9b1ffafb75258ca5335f63dd877938a978d0ee48"),
+        (SEXTIC_POSITIVE, "010b2abfa649e9343a89de4421efa5ddd3a085dd3866737514deb948b3711ab8"),
     ],
+    ids=["x2-1", "x3-x2", "sextic"],
 )
 def test_tower_contexts_pinned(h, digest):
     # every context of a fresh builder for ell = 1..30, in order: `aux`
-    # records hold these, so a change to the root walk must not move them
+    # records hold these, so a change to the root walk must not move them;
+    # each root is recorded at v_p(ell)
     b = AuxiliaryBuilder(h)
     rows = [b.context(ell).to_jsonable() for ell in range(1, 31)]
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("h", [IntPoly((0, 0, 1)), IntPoly((-1, 0, 1)), SEXTIC_POSITIVE])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_context_roots_do_not_depend_on_build_order(h, seed):
+    # one builder, contexts in a shuffled order, against a fresh builder for
+    # each ell: every root is recorded at precision v_p(ell), whatever
+    # precision the builder has refined that prime to
+    ells = list(range(1, 31))
+    random.Random(seed).shuffle(ells)
+    b = AuxiliaryBuilder(h)
+    for ell in ells:
+        ctx = b.context(ell)
+        assert ctx.to_jsonable() == AuxiliaryBuilder(h).context(ell).to_jsonable()
+        for p, z in ctx.roots.items():
+            assert ell % p**z.precision == 0 and ell % p ** (z.precision + 1) != 0
 
 
 def test_root_residue_examples():

@@ -179,6 +179,22 @@ def test_array_eval_matches_scalar(case, m):
     assert h.eval_mod(xs, m).tolist() == [h(n) % m for n in ns] == [h.eval_mod(n, m) for n in ns]
 
 
+@given(
+    st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=8),
+    st.lists(st.integers(-(2**62), 2**62), max_size=32),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_eval_low64_matches_exact(coeffs, ns, as_object):
+    # wrapping uint64 Horner against the exact value mod 2^64, with
+    # coefficients negative and past 2^64, on int64 and on object arrays
+    h = IntPoly.of(coeffs)
+    xs = np.array(ns, dtype=object if as_object else np.int64)
+    got = h.eval_low64(xs)
+    assert got.dtype == np.uint64 and got.shape == (len(ns),)
+    assert got.tolist() == [int(h(n)) % 2**64 for n in ns]
+
+
 def test_array_eval_guard_edges():
     square = IntPoly((0, 0, 1))
     edge = 3037000499  # largest n with n^2 < 2^63
