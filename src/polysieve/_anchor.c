@@ -1,16 +1,20 @@
-/* Anchored decision search behind polysieve.search.dmax_table.
+/* The compiled kernel of polysieve.search: the anchored decision search
+   behind dmax_table (anchor_decide) and the greedy scan behind
+   greedy_avoiding (greedy_scan). exact_max_avoiding, the tables' oracle,
+   shares no code with either: it seeds its branch and bound with the greedy
+   set only after checking that set in Python integers.
 
-   Is there an avoiding set of size target = D[X-1] + 1 in [1, X]? Such a
-   set contains X, or it would fit in [1, X-1]; for X >= 2 it also contains
-   1, or shifting it down by one would fit it in [1, X-1]. So the search
-   takes both ends up front: it returns 0 at once when X - 1 is forbidden,
-   and otherwise runs down from X - 1, taking n first and then skipping it,
-   with 1 and every position 1 + f already excluded (Russian-doll search,
-   anchored at both ends). A node is cut when the elements it still needs,
-   plus 1, cannot fit below n: by position, by the exact smaller entry D[n],
-   or by the window bound below. Each cut removes only branches that hold no
-   set, so the first set found is the one the search anchored at X alone
-   finds.
+   The anchored search (anchor_decide). Is there an avoiding set of size
+   target = D[X-1] + 1 in [1, X]? Such a set contains X, or it would fit in
+   [1, X-1]; for X >= 2 it also contains 1, or shifting it down by one would
+   fit it in [1, X-1]. So the search takes both ends up front: it returns 0
+   at once when X - 1 is forbidden, and otherwise runs down from X - 1,
+   taking n first and then skipping it, with 1 and every position 1 + f
+   already excluded (Russian-doll search, anchored at both ends). A node is
+   cut when the elements it still needs, plus 1, cannot fit below n: by
+   position, by the exact smaller entry D[n], or by the window bound below.
+   Each cut removes only branches that hold no set, so the first set found is
+   the one the search anchored at X alone finds.
 
    The window bound. Within a block of 16 positions the difference graph
    depends only on which of them are free, so T[p], the largest subset of a
@@ -118,4 +122,19 @@ int anchor_decide(int X, int target, int W, const int *D, const uint64_t *rows, 
         out[0] |= (uint64_t)low << 1;
     }
     return r;
+}
+
+/* The left-to-right greedy avoiding set in [1, X]: each n not blocked by an
+   earlier member is taken and blocks every n + f <= X. F holds nF distinct
+   differences in increasing order; blocked has X + 1 entries, 0 for a free
+   position, and a member is left 0. Only members below n block n, so
+   blocked[n] is final when the scan reaches it. */
+void greedy_scan(int64_t X, int64_t nF, const int64_t *F, uint8_t *blocked)
+{
+    for (int64_t n = 1; n <= X; n++) {
+        if (blocked[n])
+            continue;
+        for (int64_t i = 0; i < nF && n + F[i] <= X; i++)
+            blocked[n + F[i]] = 1;
+    }
 }

@@ -1,7 +1,8 @@
 """Deterministic experiment harness: strict JSON configs, task registry,
 JSON-lines records, CSV side files, and report aggregation.
 
-Every task appends one record {task, params, result, duration_ms}; result
+Every task appends one record {task, params, result, duration_ms}, with
+error {type, message} in place of result for a task that raised; result
 fields are deterministic given (config, seed). Floats serialize as the
 shortest decimal that reads back to the same float, integers beyond 2^53 as
 decimal strings (hex strings past the interpreter's decimal digit limit).
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, get_type_hints
@@ -420,31 +422,43 @@ TASKS: dict[str, TaskDef] = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Execute tasks in order; write records.jsonl plus CSV side files.
-    Returns a summary dict; 'failed_required' lists the tasks whose verdict
-    is False."""
+    """Execute tasks in order. Each task's record is appended to
+    records.jsonl and flushed, and its CSV side files written, when the task
+    ends, so a run that stops keeps what it finished. A task that raises gets
+    a record with the exception's type and message in place of a result, and
+    the exception propagates. Returns a summary dict; 'failed_required' lists
+    the tasks whose verdict is False."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(config)
-    records = [{"config": config.to_jsonable(), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}]
     failed_required = []
-    for task in config.tasks:
-        name = task["name"]
-        t0 = time.perf_counter()
-        result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
-        duration = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            {"task": name, "params": task["params"], "result": result, "duration_ms": duration}
-        )
-        verdict = TASKS[name].verdict
-        if verdict is not None and verdict(result) is False:
-            failed_required.append(name)
-    text = "\n".join(dumps_record(r) for r in records) + "\n"
-    (out / "records.jsonl").write_text(text, encoding="utf-8", newline="\n")
-    for fname, content in ctx.side_files:
-        (out / fname).write_text(content, encoding="utf-8", newline="\n")
+    with open(out / "records.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+
+        def append(record: dict) -> None:
+            fh.write(dumps_record(record) + "\n")
+            fh.flush()
+
+        append({"config": config.to_jsonable(), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")})
+        for task in config.tasks:
+            name = task["name"]
+            written = len(ctx.side_files)
+            t0 = time.perf_counter()
+            try:
+                result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
+            except Exception as exc:
+                duration = (time.perf_counter() - t0) * 1000.0
+                error = {"type": type(exc).__name__, "message": str(exc)}
+                append({"task": name, "params": task["params"], "error": error, "duration_ms": duration})
+                raise
+            duration = (time.perf_counter() - t0) * 1000.0
+            append({"task": name, "params": task["params"], "result": result, "duration_ms": duration})
+            for fname, content in ctx.side_files[written:]:
+                (out / fname).write_text(content, encoding="utf-8", newline="\n")
+            verdict = TASKS[name].verdict
+            if verdict is not None and verdict(result) is False:
+                failed_required.append(name)
     return {
-        "records": len(records) - 1,
+        "records": len(config.tasks),
         "out_dir": str(out),
         "failed_required": failed_required,
     }
@@ -455,7 +469,8 @@ VERDICT_WORDS = {True: "passed", False: "FAILED", None: "not decided"}
 
 def emit_report(run_dir: str | Path) -> str:
     """Aggregate records.jsonl in run_dir into summary.md: one line per task
-    record, then the verdict of each record whose task has one."""
+    record, then the verdict of each record whose task has one. A task that
+    raised is FAILED, whether or not its task has a verdict."""
     run = Path(run_dir)
     rec_path = run / "records.jsonl"
     if not rec_path.exists():
@@ -467,6 +482,11 @@ def emit_report(run_dir: str | Path) -> str:
         if "task" not in rec:
             continue
         name = rec["task"]
+        if "error" in rec:
+            error = rec["error"]
+            lines.append(f"- **{name}**: raised {error['type']}: {json.dumps(error['message'])[:200]}")
+            audits.append(f"- {name}: FAILED ({error['type']})")
+            continue
         lines.append(f"- **{name}**: {json.dumps(to_jsonable(rec['result']))[:200]}")
         verdict = TASKS[name].verdict
         if verdict is not None:
@@ -544,7 +564,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     if ns.seed is not None:
         config.seed = ns.seed
-    summary = run_experiment(config, ns.out)
+    try:
+        summary = run_experiment(config, ns.out)
+    except Exception:  # the failed task's record is in --out, after the records before it
+        traceback.print_exc()
+        return 1
     print(json.dumps(summary, indent=2))
     return 1 if summary["failed_required"] else 0
 

@@ -251,26 +251,42 @@ def _dyadic64(den: int) -> bool:
     return den & (den - 1) == 0 and den <= 1 << 64
 
 
-def _phases_mod1(values: Optional[np.ndarray], theta, low64: Optional[np.ndarray] = None) -> np.ndarray:
+def _phases_mod1(
+    values: Optional[np.ndarray],
+    theta,
+    low64: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """values * theta mod 1, reduced exactly in integers and rounded once.
 
     theta is the rational num/den that it is (exact for a float). A power of
     two den <= 2^64 reduces in wrapping uint64 products of values mod 2^64
     (low64, when a caller with several thetas has it already; values may
     then be None), any den < 2^31 in int64, and every other den in object
-    integers.
+    integers. A caller with several thetas passes its own float64 out and,
+    for the power-of-two case, a uint64 scratch array of the same length;
+    the phases are the same bits either way.
     """
     num, den = Fraction(theta).as_integer_ratio()
     num %= den
     if _dyadic64(den):
         if low64 is None:
             low64 = _low64(values)
-        red = low64 * np.uint64(num) & np.uint64(den - 1)
+        red = np.multiply(low64, np.uint64(num), out=scratch)
+        red &= np.uint64(den - 1)
     elif den < 1 << 31:
         red = (values % den).astype(np.int64) * num % den
     else:
-        return (values.astype(object) * num % den / den).astype(float)
-    return red.astype(float) / den
+        phases = (values.astype(object) * num % den / den).astype(float)
+        if out is None:
+            return phases
+        out[...] = phases
+        return out
+    if out is None:
+        return red.astype(float) / den
+    np.copyto(out, red, casting="safe")
+    return np.divide(out, den, out=out)
 
 
 def fourier_point(source: Source, theta) -> complex:
@@ -563,11 +579,17 @@ def weyl_sum_audit(
     dyadic = all(_dyadic64(Fraction(t).denominator) for t in theta_samples)
     vals = None if dyadic else poly(ns)  # object integers for the sextic
     logU = math.log(U)
+    # one set of per-theta arrays for the whole audit, each reused through out=
+    scratch = np.empty(len(ns), dtype=np.uint64)
+    phases = np.empty(len(ns), dtype=float)
+    terms = np.empty(len(ns), dtype=complex)
     samples = []
     for theta in theta_samples:
         a, q, _ = rational_approx(theta, max(2, N))
-        phases = _phases_mod1(vals, theta, low64)
-        s = complex(np.sum(np.exp(-2j * np.pi * phases)))
+        _phases_mod1(vals, theta, low64, out=phases, scratch=scratch)
+        np.multiply(-2j * np.pi, phases, out=terms)
+        np.exp(terms, out=terms)
+        s = complex(np.sum(terms))
         lhs = abs(s)
         logterm = math.log(max(b_k * q * N, 3.0)) ** (k * k)
         inner = b_k * logterm * (1.0 / q + Z / N + q * Z**k / (b_k * N**k))

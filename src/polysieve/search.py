@@ -6,14 +6,16 @@ so pairwise-difference checks collapse to shifts and ANDs. Array code
 crosses into and out of that format only through AvoidingSet.indicator and
 AvoidingSet.from_indicator.
 
-dmax_table is the solver. Its anchored search runs in a C kernel,
-_anchor.c, which it compiles with gcc on first use into a cache directory
-under the system temp directory; without gcc it raises RuntimeError. The
-clique-cover branch and bound in exact_max_avoiding is the kernel's oracle,
-kept on purpose as an independent cross-check: it shares no search code
-with the table, so the checks that compare the two
-(perfbench/make_reference.py, the benchmark's reference checks, and the
-acceptance tests) do not compare the solver with itself.
+dmax_table is the solver. Its anchored search, and the scan behind
+greedy_avoiding, run in a C kernel, _anchor.c, which is compiled with gcc on
+first use into a cache directory under the system temp directory; without
+gcc both raise RuntimeError. The clique-cover branch and bound in
+exact_max_avoiding is the kernel's oracle, kept on purpose as an independent
+cross-check: it shares no search code with the table, so the checks that
+compare the two (perfbench/make_reference.py, the benchmark's reference
+checks, and the acceptance tests) do not compare the solver with itself. It
+seeds its bound with the compiled greedy set, but only after verify_avoiding
+has checked that set in Python integers.
 """
 
 from __future__ import annotations
@@ -141,15 +143,16 @@ def verify_avoiding(A: AvoidingSet, F: Sequence[int]) -> tuple[bool, Optional[tu
 
 def greedy_avoiding(F: Sequence[int], X: int) -> AvoidingSet:
     """Left-to-right greedy scan admitting n unless it conflicts with an
-    earlier member. Only members below n block n, so blocked[n] is final
-    when the scan reaches n, and the members are the unblocked positions."""
+    earlier member, run by the kernel's greedy_scan. Only members below n
+    block n, so blocked[n] is final when the scan reaches n, and the members
+    are the unblocked positions. Raises RuntimeError when the kernel cannot
+    be built."""
+    _load_kernel()
     farr = np.array(sorted({f for f in F if 1 <= f <= X - 1}), dtype=np.int64)
-    blocked = np.zeros(X + 1, dtype=bool)
-    blocked[0] = True
-    for n in range(1, X + 1):
-        if not blocked[n]:
-            blocked[n + farr[farr <= X - n]] = True
-    return AvoidingSet.from_indicator(~blocked)
+    blocked = np.zeros(X + 1, dtype=np.uint8)
+    blocked[0] = 1
+    _greedy(X, len(farr), farr.ctypes.data, blocked.ctypes.data)
+    return AvoidingSet.from_indicator(blocked == 0)
 
 
 def exhaustive_max_table(F: Sequence[int], X: int) -> list[int]:
@@ -224,6 +227,8 @@ def exact_max_avoiding(
     order = sorted(range(1, X + 1), key=lambda v: (-adj[v].bit_count(), v))
 
     seed = greedy_avoiding(diffs, X)
+    if not verify_avoiding(seed, diffs)[0]:  # the oracle does not trust the compiled scan
+        raise RuntimeError(f"the greedy seed at X = {X} has a forbidden difference")
     best_size = seed.size
     best_bits = seed.bits
 
@@ -281,6 +286,7 @@ _SOURCE = Path(__file__).with_name("_anchor.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _TICK = ctypes.CFUNCTYPE(ctypes.c_int)
 _kernel = None  # anchor_decide from the compiled _anchor.c, once loaded
+_greedy = None  # greedy_scan from the same library, loaded with _kernel
 
 
 def _compiler() -> Optional[str]:
@@ -293,9 +299,10 @@ def _cache_dir() -> Path:
 
 def _load_kernel():
     """anchor_decide from _anchor.c, compiled on first use into the cache
-    directory under a name keyed by the source and the flags. A library
-    that is missing or fails to load is built again."""
-    global _kernel
+    directory under a name keyed by the source and the flags; greedy_scan
+    from the same library goes to _greedy. A library that is missing or
+    fails to load is built again. Setting _kernel to None loads both anew."""
+    global _kernel, _greedy
     if _kernel is not None:
         return _kernel
     # zlib's two checksums, not hashlib, whose OpenSSL adds 3 MiB of memory
@@ -314,7 +321,10 @@ def _load_kernel():
     kernel = dll.anchor_decide
     kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 5 + [_TICK, ctypes.c_long, ctypes.POINTER(ctypes.c_long)]
     kernel.restype = ctypes.c_int
-    _kernel = kernel
+    greedy = dll.greedy_scan
+    greedy.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    greedy.restype = None
+    _kernel, _greedy = kernel, greedy
     return kernel
 
 
@@ -327,7 +337,10 @@ def _build_kernel(lib: Path) -> ctypes.CDLL:
 
     cc = _compiler()
     if cc is None:
-        raise RuntimeError("dmax_table builds its search kernel with gcc, and gcc was not found on PATH")
+        raise RuntimeError(
+            f"the search kernel {_SOURCE.name} (dmax_table, greedy_avoiding, and the greedy, step and "
+            "iterate tasks) is built with gcc, and gcc was not found on PATH"
+        )
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
     os.close(fd)
     try:

@@ -220,6 +220,47 @@ def test_failed_verdict_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert main(["gauss", "--out", str(tmp_path / "sub")]) == 1
 
 
+def test_a_task_that_raises_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
+    def boom(ctx, params):
+        raise ArithmeticError("sieve went wrong")
+
+    monkeypatch.setitem(TASKS, "sieve", dataclasses.replace(TASKS["sieve"], run=boom))
+    tasks = [*MINIMAL["tasks"], {"name": "gauss", "params": {"q_max": 20}}, {"name": "sieve"}, {"name": "weight"}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MINIMAL, "tasks": tasks}))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 1
+    assert "ArithmeticError: sieve went wrong" in capsys.readouterr().err
+    records = [json.loads(line) for line in (run / "records.jsonl").read_text().splitlines()]
+    assert "config" in records[0]
+    assert [r["task"] for r in records[1:]] == ["f_eval", "gauss", "sieve"]  # the run stops there
+    assert "result" in records[2] and (run / "gauss.csv").exists()
+    assert "result" not in records[3]
+    assert records[3]["error"] == {"type": "ArithmeticError", "message": "sieve went wrong"}
+    assert not (run / "weight_decay.csv").exists()
+    summary = emit_report(run)
+    assert "- gauss: passed\n" in summary and "- sieve: FAILED (ArithmeticError)\n" in summary
+    # a task without a verdict fails the same way
+    monkeypatch.setitem(TASKS, "f_eval", dataclasses.replace(TASKS["f_eval"], run=boom))
+    with pytest.raises(ArithmeticError):
+        run_experiment(ExperimentConfig.from_dict(MINIMAL), tmp_path / "f")
+    assert "- f_eval: FAILED (ArithmeticError)\n" in emit_report(tmp_path / "f")
+
+
+def test_records_are_written_as_each_task_ends(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(ctx, params):
+        seen.append((tmp_path / "records.jsonl").read_text().splitlines())
+        return {}
+
+    monkeypatch.setitem(TASKS, "weight", dataclasses.replace(TASKS["weight"], run=spy))
+    tasks = [*MINIMAL["tasks"], {"name": "weight"}]
+    run_experiment(ExperimentConfig.from_dict({**MINIMAL, "tasks": tasks}), tmp_path)
+    [lines] = seen
+    assert len(lines) == 2 and json.loads(lines[1])["task"] == "f_eval"
+
+
 # sha256 of each exact-integer task result of configs/default.json, as the
 # canonical JSON its record holds; float results stay out, since their last
 # bits may move with numpy

@@ -550,6 +550,20 @@ def test_weyl_float_thetas_build_no_object_values(fixtures, monkeypatch):
         assert s.lhs == abs(complex(np.sum(np.exp(-2j * np.pi * _phases_mod1(vals, theta)))))
 
 
+@pytest.mark.parametrize("name", ["squares", "sextic"])
+def test_weyl_lhs_bits_match_fresh_arrays(fixtures, x2ctx, name):
+    # the audit reuses one set of arrays across its thetas; each lhs is the
+    # bits of the expression that allocates new ones for every theta
+    ctx = x2ctx if name == "squares" else AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    table = SieveTable.build(ctx, 4.0)
+    rng = np.random.default_rng(20)
+    thetas = [*rng.random(16), Fraction(1, 3), Fraction(2, 7), Fraction(1, (1 << 40) + 15), 2.0**-150]
+    rep = weyl_sum_audit(ctx, 4.0, 10**4, thetas, table=table)
+    vals = ctx.aux(np.flatnonzero(w_mask(table, 10**4)[1:]) + 1)
+    for s, theta in zip(rep.samples, thetas, strict=True):
+        assert s.lhs == abs(complex(np.sum(np.exp(-2j * np.pi * _phases_mod1(vals, theta)))))
+
+
 def test_weyl_rational_theta_exact(x2ctx):
     # a rational theta = a/q stays exact: the sum over the sieved n <= N is
     # the sum over residues r of #{n : n^2 = r mod q} e(-r a / q)

@@ -79,6 +79,10 @@ def test_greedy_examples():
     g = greedy_avoiding(SQ, 10)
     assert g.members() == [1, 3, 6, 8]
     assert greedy_avoiding([], 5).members() == [1, 2, 3, 4, 5]
+    assert greedy_avoiding(SQ, 0) == greedy_avoiding([], 0) == AvoidingSet.empty(0)
+    assert greedy_avoiding(SQ, 1) == AvoidingSet.full(1)
+    assert greedy_avoiding([], 70) == AvoidingSet.full(70)
+    assert greedy_avoiding([0, -3, 70, 71], 70) == AvoidingSet.full(70)  # no difference in [1, 69]
 
 
 def test_verify_examples():
@@ -331,12 +335,15 @@ def test_kernel_matches_python_search_on_quadratics(shift):
     assert _kernel_table(F, 100) == _reference_table(F, 100)
 
 
-def test_missing_compiler_is_a_clear_error(monkeypatch, tmp_path):
+@pytest.mark.parametrize("entry", [dmax_table, greedy_avoiding], ids=["dmax_table", "greedy_avoiding"])
+def test_missing_compiler_is_a_clear_error(monkeypatch, tmp_path, entry):
+    # resetting _kernel reloads both entry points, so neither keeps a library
     monkeypatch.setattr(search, "_kernel", None)
     monkeypatch.setattr(search, "_cache_dir", lambda: tmp_path / "kernels")
     monkeypatch.setattr(search, "_compiler", lambda: None)
-    with pytest.raises(RuntimeError, match="gcc was not found"):
-        dmax_table(SQ, 10)
+    with pytest.raises(RuntimeError, match="gcc was not found") as exc:
+        entry(SQ, 10)
+    assert "_anchor.c" in str(exc.value)
 
 
 def test_failed_compile_carries_stderr(monkeypatch, tmp_path):
@@ -421,6 +428,26 @@ def test_greedy_envelope():
         size = greedy_avoiding(SQ, X).size
         assert size >= 0.5 * math.sqrt(X)
         assert size <= X ** 0.85
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["squares", "x2-1"])
+def test_greedy_kernel_matches_python_loop(shift):
+    F = [n * n - shift for n in range(1, 317) if n * n - shift >= 1]
+    assert greedy_avoiding(F, 10**5) == _greedy_loop(F, 10**5)
+
+
+def test_greedy_sizes_are_pinned():
+    sq = squares_upto(10**6)
+    for X, size in ((10**3, 115), (10**4, 579), (10**5, 2781), (10**6, 13952)):
+        assert greedy_avoiding(sq, X).size == size
+    assert greedy_avoiding([n * n - 1 for n in range(2, 1001)], 10**6).size == 7917
+
+
+def test_exact_search_checks_its_greedy_seed(monkeypatch):
+    # the oracle verifies the compiled greedy set in Python integers
+    monkeypatch.setattr(search, "greedy_avoiding", lambda F, X: AvoidingSet.full(X))
+    with pytest.raises(RuntimeError, match="forbidden difference"):
+        exact_max_avoiding(SQ, 10)
 
 
 @given(st.integers(1, 200), st.sets(st.integers(1, 40), max_size=8))
