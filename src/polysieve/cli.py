@@ -242,16 +242,15 @@ def _task_gauss(ctx: RunContext, p: dict) -> dict:
     sweep = harmonic.gauss_sum_sweep(
         aux, int(p["q_max"]), float(p["U"]), all_a=bool(p["all_a"]), table=table
     )
-    rows = [(q, a, mag, math.sqrt(q)) for q, a, mag in sweep]
     fitted = max((mag / q**0.6 for q, _, mag in sweep), default=0.0)
     ctx.side_files.append(
         (
             "gauss.csv",
             "q,a,magnitude,sqrt_q\n"
-            + "".join(f"{q},{a},{m:.17g},{s:.17g}\n" for q, a, m, s in rows),
+            + "".join(f"{q},{a},{m:.17g},{math.sqrt(q):.17g}\n" for q, a, m in sweep),
         )
     )
-    return {"rows": len(rows), "fitted_c_vs_q0.6": fitted}
+    return {"rows": len(sweep), "fitted_c_vs_q0.6": fitted}
 
 
 def _task_mass(ctx: RunContext, p: dict) -> dict:

@@ -10,8 +10,10 @@ even g, by a cosine transform at half the length).
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -355,6 +357,60 @@ def _spread(size: int, slot: np.ndarray, vals: np.ndarray, fill: float = 0.0) ->
     return out
 
 
+def _worker():
+    """A pool of one thread, made for one call and shut down with it, so a
+    forked child never inherits a pool without its thread. numpy's FFTs and
+    ufuncs release the GIL, so the thread runs on the second core; it runs
+    numpy and this module's private helpers only. concurrent.futures is
+    imported here, not with polysieve."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1)
+
+
+def _both(pool, mine: list, theirs: list) -> None:
+    """Make the calls in theirs, in order, on the pool's thread while those
+    in mine run on this one; return when both are done."""
+    done = pool.submit(lambda: [f() for f in theirs])
+    for f in mine:
+        f()
+    done.result()
+
+
+def _copy_on_both(pool, pairs: list) -> None:
+    """dst[:] = src for each (dst, src): the first half of each on this
+    thread and the rest on the pool's, so the two write to either end of
+    the output, not to the same cache lines."""
+    cuts = [len(dst) // 2 for dst, _ in pairs]
+    _both(
+        pool,
+        [partial(np.copyto, dst[:c], src[:c]) for (dst, src), c in zip(pairs, cuts)],
+        [partial(np.copyto, dst[c:], src[c:]) for (dst, src), c in zip(pairs, cuts)],
+    )
+
+
+def _inverse_level(L: int, u: np.ndarray, Hu: np.ndarray, w: np.ndarray, space: np.ndarray) -> None:
+    """One halving level's transform: the irfft of length L, into w, of the
+    H that is Hu at the indices u and zero elsewhere, built in the first
+    L + 2 floats of space."""
+    H = space[: 2 * (L // 2 + 1)].view(complex)
+    H[:] = 0.0
+    H[u] = Hu
+    np.fft.irfft(H, L, norm="forward", out=w)
+
+
+def _even_rfft(idx: np.ndarray, x: np.ndarray, m: int, ext: np.ndarray, top: np.ndarray) -> None:
+    """top = the real part of the rfft of the even extension, built in ext,
+    of the x_0..x_m that are x at idx and zero elsewhere: the extension's
+    interior holds half of each x_n on either side."""
+    n = ext.size
+    ext[: m + 1] = 0.0
+    ext[idx] = x
+    ext[1 : n - m] *= 0.5
+    ext[m + 1 :] = ext[n - m - 1 : 0 : -1]
+    top[:] = np.fft.rfft(ext).real
+
+
 def _cosine_spectrum(idx: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
     """out[j] = sum_n x_n cos(2 pi n j / N) for j = 0..N-1, from the support
     of x_0..x_{N // 2}: indices idx, ascending and distinct, and their
@@ -379,11 +435,24 @@ def _cosine_spectrum(idx: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
     reaches, K the support's size, and its twiddles are computed there
     only, H_i's at angle (i * 2^k) * (pi / 2 L_0) on level k (L_0 the top
     level's L). Every sum and product, signed zeros included, is the one
-    the dense transform takes, so the output is bit for bit the same. The
-    upper half of the output is scratch until the final mirror.
+    the dense transform takes, so the output is bit for bit the same.
+
+    The caller computes every level's support first; the dense work then
+    runs on two threads (_worker), numpy only. Level k's irfft of length
+    L_k writes to out[N + 1 - 2 L_k : N + 1 - L_k], so the levels fill the
+    upper half of the output, scratch until the final mirror, and builds
+    its H in the lower half, which no level writes until every transform
+    is done. Level 0, whose irfft with pocketfft's buffers takes about 8N
+    bytes, runs next to the base alone; then level 1 runs next to levels 2
+    and on, their H after H_1. Then the two threads write the lower half,
+    one end each, and mirror it. The peak is no higher than the serial
+    transform's, and no thread's malloc arena keeps more than one level's
+    buffers.
     """
     M = N // 2
     out = np.empty(N)
+    levels = []  # (L, u, Hu, w): each level's H and its outputs
+    writes = []  # (dst, src): where the outputs go
     view, m, step, unit = out[: M + 1], M, 1, None
     while N % 2 == 0 and m % 2 == 0 and m > _DCT_BASE:
         L = m // 2
@@ -414,28 +483,29 @@ def _cosine_spectrum(idx: np.ndarray, x: np.ndarray, N: int) -> np.ndarray:
         np.sin(angle, out=tw.imag)
         tw *= 0.5
         Hu[k0:] *= tw
-        H = np.zeros(h, dtype=complex)
-        H[u] = Hu
-        w = out[M + 1 : M + 1 + L]
-        np.fft.irfft(H, L, norm="forward", out=w)
-        del H
+        w = out[N + 1 - 2 * L : N + 1 - L]
+        levels.append((L, u, Hu, w))
         k = (L + 1) // 2
-        view[1:m:4] = w[:k]
-        view[3:m:4] = w[k:][::-1]
+        writes += [(view[1:m:4], w[:k]), (view[3:m:4], w[k:][::-1])]
         y = a + b
         if hi > lo:  # y_L = x_L
             pos, y = np.append(pos, L), np.append(y, x[lo])
         view, idx, x, m, step = view[::2], pos, y, L, 2 * step
-    # the base: rfft of the even extension of x, whose interior holds half
-    # of each x_n on either side; at the top level it is built in the output
-    n = N if step == 1 else 2 * m
-    ext = out if step == 1 else np.empty(n)
-    ext[: m + 1] = 0.0
-    ext[idx] = x
-    ext[1 : n - m] *= 0.5
-    ext[m + 1 :] = ext[n - m - 1 : 0 : -1]
-    view[:] = np.fft.rfft(ext).real
-    out[M + 1 :] = out[N - M - 1 : 0 : -1]
+    # the base; with no halving, its extension is built in the output
+    top = np.empty(m + 1)
+    base = partial(_even_rfft, idx, x, m, out if step == 1 else np.empty(2 * m), top)
+    writes.append((view, top))
+
+    def ffts(ks: slice, at: int) -> list:
+        # the irffts of levels[ks], one after another, each H at out[at:]
+        return [partial(_inverse_level, *level, out[at:]) for level in levels[ks]]
+
+    with _worker() as pool:
+        _both(pool, ffts(slice(1), 0), [base])
+        # H_1 takes L_1 + 2 = M/4 + 2 floats
+        _both(pool, ffts(slice(1, 2), 0), ffts(slice(2, None), M // 4 + 2))
+        _copy_on_both(pool, writes)
+        _copy_on_both(pool, [(out[M + 1 :], out[N - M - 1 : 0 : -1])])
     return out
 
 
@@ -455,10 +525,11 @@ def fourier_grid(source: Source, N: int) -> Spectrum:
     min(v mod N, N - v mod N), kept as the support's distinct indices and
     their sums (_even_fold, no length-N/2 array), and one cosine transform
     at half the length on that support (_cosine_spectrum) gives the
-    spectrum as float64 values. Its cost is the inverse FFTs and O(K) a
-    level for K folded points; its peak is the N outputs and one N/8-point
-    complex array. Any other source folds onto v mod N and takes an FFT
-    (_fold_fft), giving complex128 values.
+    spectrum as float64 values. Its cost is the inverse FFTs, on two
+    threads, and O(K) a level for K folded points; its peak is the N
+    outputs and the top level's inverse FFT, about 9 bytes a point. Any
+    other source folds onto v mod N and takes an FFT (_fold_fft), giving
+    complex128 values.
     """
     vals, weights = _support(source)
     maxmag = int(np.abs(vals).max(initial=0))
@@ -498,23 +569,52 @@ def gauss_sum_sieved(
     return total
 
 
+class GaussSweep(abc.Sequence):
+    """The rows (q, a, |sum|) of gauss_sum_sweep, kept as the columns q, a
+    (int32, or int64 for q past 2^31) and mag (float64). A row reads as a
+    tuple of Python int, int and float, a slice as a GaussSweep, and a
+    sweep equals another sweep or a sequence of rows with the same rows."""
+
+    def __init__(self, q: np.ndarray, a: np.ndarray, mag: np.ndarray):
+        self.q, self.a, self.mag = q, a, mag
+
+    def __len__(self) -> int:
+        return self.mag.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GaussSweep(self.q[i], self.a[i], self.mag[i])
+        return int(self.q[i]), int(self.a[i]), float(self.mag[i])
+
+    def __iter__(self):
+        return zip(self.q.tolist(), self.a.tolist(), self.mag.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GaussSweep):
+            return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in ("q", "a", "mag"))
+        if isinstance(other, abc.Sequence):
+            return len(self) == len(other) and all(row == theirs for row, theirs in zip(self, other))
+        return NotImplemented
+
+
 def gauss_sum_sweep(
     aux: AuxiliaryContext,
     q_max: int,
     U: float,
     all_a: bool = True,
     table: Optional[SieveTable] = None,
-) -> list[tuple[int, int, float]]:
+) -> GaussSweep:
     """(q, a, |sum|) over q <= q_max, for every reduced a mod q (only a = 1
     unless all_a; a = 0 for q = 1); matches gauss_sum_sieved at every point.
 
     Per modulus, c(t) counts the kept residues s with h(s) = t mod q; c is
     real, so |sum_s e(h(s) a / q)| = |fft(c)[a]| = |fft(c)[q - a]|, and one
-    real FFT gives every a."""
+    real FFT gives every a. The rows are kept as columns: at q_max = 1000
+    they take 16 bytes each, where Python tuples took about 116."""
     if table is None:
         table = SieveTable.build(aux, U)
     poly = aux.aux
-    out = []
+    a_cols, mag_cols = [], []
     for q in range(1, q_max + 1):
         # w_mask indexes 1..q; rolling moves residue 0 from index q to the front
         keep = np.roll(w_mask(table, q, q)[1:], 1)
@@ -524,9 +624,26 @@ def gauss_sum_sweep(
             a_values = np.array([0])
         else:
             a_values = _units_mod(q) if all_a else np.array([1])
-        rows = mags[np.minimum(a_values, q - a_values)]
-        out.extend(zip([q] * a_values.size, a_values.tolist(), rows.tolist()))
-    return out
+        a_cols.append(a_values)
+        mag_cols.append(mags[np.minimum(a_values, q - a_values)])
+    itype = np.int32 if q_max < 2**31 else np.int64
+    return GaussSweep(
+        np.repeat(np.arange(1, q_max + 1, dtype=itype), [col.size for col in a_cols]),
+        np.concatenate(a_cols or [np.zeros(0)]).astype(itype),
+        np.concatenate(mag_cols or [np.zeros(0)]),
+    )
+
+
+def _weyl_sums(vals, low64, thetas, scratch, phases, terms) -> list[complex]:
+    """sum_n e(-theta h(n)) for each theta, h(n) given as to _phases_mod1,
+    computed in the arrays scratch, phases and terms."""
+    sums = []
+    for theta in thetas:
+        _phases_mod1(vals, theta, low64, out=phases, scratch=scratch)
+        np.multiply(-2j * np.pi, phases, out=terms)
+        np.exp(terms, out=terms)
+        sums.append(complex(np.sum(terms)))
+    return sums
 
 
 @dataclass
@@ -563,7 +680,10 @@ def weyl_sum_audit(
     magnitude at least 2^-12) needs only h(n) mod 2^64, which
     IntPoly.eval_low64 gives in uint64 once for all such thetas. The exact
     values h(n), object integers once they pass int64, are built only when
-    some theta has another denominator."""
+    some theta has another denominator. A worker thread (_worker) sums the
+    second half of the thetas next to the caller's first half, each in its
+    own arrays and by the same expression; the caller then computes every
+    convergent and envelope."""
     if Z is None:
         Z = N / max(U, 2.0)
     if U < 2 or Z < 2 or N < 4 or U * Z > N * (1 + 1e-9):
@@ -579,17 +699,19 @@ def weyl_sum_audit(
     dyadic = all(_dyadic64(Fraction(t).denominator) for t in theta_samples)
     vals = None if dyadic else poly(ns)  # object integers for the sextic
     logU = math.log(U)
-    # one set of per-theta arrays for the whole audit, each reused through out=
-    scratch = np.empty(len(ns), dtype=np.uint64)
-    phases = np.empty(len(ns), dtype=float)
-    terms = np.empty(len(ns), dtype=complex)
+    half = (len(theta_samples) + 1) // 2
+    # one set of per-theta arrays for each half of the thetas, the second
+    # half's summed on the worker thread
+    arrays = [
+        (np.empty(len(ns), dtype=np.uint64), np.empty(len(ns)), np.empty(len(ns), dtype=complex))
+        for _ in range(2)
+    ]
+    with _worker() as pool:
+        later = pool.submit(_weyl_sums, vals, low64, theta_samples[half:], *arrays[1])
+        sums = _weyl_sums(vals, low64, theta_samples[:half], *arrays[0]) + later.result()
     samples = []
-    for theta in theta_samples:
+    for theta, s in zip(theta_samples, sums):
         a, q, _ = rational_approx(theta, max(2, N))
-        _phases_mod1(vals, theta, low64, out=phases, scratch=scratch)
-        np.multiply(-2j * np.pi, phases, out=terms)
-        np.exp(terms, out=terms)
-        s = complex(np.sum(terms))
         lhs = abs(s)
         logterm = math.log(max(b_k * q * N, 3.0)) ** (k * k)
         inner = b_k * logterm * (1.0 / q + Z / N + q * Z**k / (b_k * N**k))

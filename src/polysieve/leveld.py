@@ -293,6 +293,17 @@ def level_d_energy_bruteforce(f: np.ndarray, Q: ModulusFamily, d: int) -> float:
     return total
 
 
+def _class_means(padded: np.ndarray, X: int, R: int) -> np.ndarray:
+    """The mean of |f| over the n in [1, X] with n = r mod R, r = 0..R-1,
+    for R <= X, from padded: |f| at the positions 0..2X, zero but at 1..X.
+    Its first rows * R entries, as rows of R, hold each class in one
+    column, summed row after row; each class's count is a closed form."""
+    rows = X // R + 1
+    sums = padded[: rows * R].reshape(rows, R).sum(axis=0)
+    r = np.arange(R)
+    return sums / ((X - r) // R + (r > 0))
+
+
 def level_d_audit(
     f: np.ndarray,
     Q: ModulusFamily,
@@ -328,7 +339,8 @@ def level_d_audit(
     n = len(Q.members)
     sizes = [s for s in range(1, min(n, int(2.0 * L)) + 1) if 2.0**s * alpha < top]
     small = _small_subsets(Q.members, X, len(sizes))
-    positions = np.arange(1, X + 1)
+    padded = np.zeros(2 * X + 1)  # for _class_means
+    padded[1 : X + 1] = absf
     found = False
     bS = br = bavg = bthr = None
     for size in sizes:
@@ -342,10 +354,7 @@ def level_d_audit(
             bthr = thr
             break
         for U, R in folded:
-            pos = positions % R
-            sums = np.bincount(pos, weights=absf, minlength=R)
-            counts = np.bincount(pos, minlength=R)
-            means = sums / np.maximum(counts, 1)
+            means = _class_means(padded, X, R)
             r_at = int(np.argmax(means))
             if means[r_at] > thr:
                 found = True

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from polysieve import harmonic
 from polysieve.harmonic import (
     ArcParams,
+    GaussSweep,
     HarmonicParams,
     _cosine_spectrum,
     _fold_fft,
@@ -398,6 +399,89 @@ def test_weighted_image_grid_memory():
     assert int(proc.stdout) * 1024 < 12 * N  # VmHWM counts KiB
 
 
+def test_import_loads_no_thread_pool():
+    # the spectral layer's worker thread comes from concurrent.futures,
+    # which is imported on the first call, not with the package
+    code = "import sys, polysieve\nprint('concurrent.futures' in sys.modules)"
+    path = [str(Path(harmonic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _spectral_calls(smooth24, x2ctx, sextic):
+    """One fourier_grid with every halving level and the base, and Weyl
+    audits on both paths: uint64 phases and object integers."""
+    img = harmonic.g_build(x2ctx, 10**4, 2.0, smooth24)
+    spec = harmonic.fourier_grid(img, 1 << 15)  # four levels of 2^13 .. 2^10 points
+    thetas = [0.1, Fraction(1, 3), 2.0**-150, 0.7]
+    return spec.values, [harmonic.weyl_sum_audit(ctx, 4.0, 2000, thetas).samples for ctx in (x2ctx, sextic)]
+
+
+def test_spectral_layer_calls_public_functions_on_the_calling_thread(smooth24, x2ctx, fixtures, monkeypatch):
+    # a tracer keeps one span stack for every thread, so the worker thread
+    # may run numpy and private helpers only: every public function and
+    # method of the package is wrapped, wherever it is bound, and records
+    # the thread that calls it
+    import inspect
+    import threading
+
+    sextic = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    mods = [m for name, m in sorted(sys.modules.items()) if name.startswith("polysieve.")]
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    spies = {}
+    for mod in mods:
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                spies[id(obj)] = spy(f"{mod.__name__}.{attr}", obj)
+            elif inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    if not meth.startswith("_") and inspect.isfunction(fn):
+                        monkeypatch.setattr(obj, meth, spy(f"{attr}.{meth}", fn))
+    for mod in mods:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in spies:
+                monkeypatch.setattr(mod, attr, spies[id(obj)])
+    _spectral_calls(smooth24, x2ctx, sextic)
+    names = {name for name, _ in calls}
+    assert {"polysieve.harmonic.fourier_grid", "polysieve.harmonic.rational_approx"} <= names
+    assert "IntPoly.eval_low64" in names
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_spectral_layer_runs_in_a_forked_child(smooth24, x2ctx, fixtures):
+    # the worker thread lives for one call, so a child forked after the
+    # parent ran the spectral layer has no pool whose thread it lacks
+    import multiprocessing
+
+    sextic = AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    want = _spectral_calls(smooth24, x2ctx, sextic)
+
+    def child():  # an exception exits with code 1
+        values, samples = _spectral_calls(smooth24, x2ctx, sextic)
+        assert values.tobytes() == want[0].tobytes() and samples == want[1]
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    alive = proc.is_alive()
+    if alive:
+        proc.kill()
+        proc.join()
+    assert not alive and proc.exitcode == 0
+
+
 # ---------------------------------------------------------------------------
 # Gauss sums
 # ---------------------------------------------------------------------------
@@ -450,6 +534,42 @@ def test_gauss_sweep_matches_the_loop(x2ctx, fixtures, all_a):
         assert got[0] == want[0] and got[0][:2] == (1, 0)
         assert [row[:2] for row in got] == [row[:2] for row in want]
         assert all(abs(g - w) <= 1e-12 * q for (q, _, g), (_, _, w) in zip(got, want))
+
+
+def test_gauss_sweep_columns_read_as_rows(x2ctx):
+    table = SieveTable.build(x2ctx, 50)
+    sweep = gauss_sum_sweep(x2ctx, 40, 50, True, table)
+    rows = _gauss_sum_sweep_py(x2ctx, 40, 50, True, table)
+    assert isinstance(sweep, GaussSweep) and len(sweep) == len(rows) == sweep.mag.size
+    assert sweep.q.itemsize + sweep.a.itemsize + sweep.mag.itemsize <= 24
+    first, last = sweep[0], sweep[-1]
+    assert first == (1, 0, 1.0) and [type(v) for v in last] == [int, int, float]
+    assert list(sweep) == [sweep[i] for i in range(len(sweep))]
+    assert [row[:2] for row in sweep] == [row[:2] for row in rows]
+    part = sweep[3:9]
+    assert isinstance(part, GaussSweep) and list(part) == list(sweep)[3:9]
+    # equal to itself, to its rows as a list, and to nothing else
+    assert sweep == gauss_sum_sweep(x2ctx, 40, 50, True, table) == list(sweep)
+    assert list(sweep) == sweep and sweep != list(sweep)[:-1] and sweep != sweep[1:]
+    assert sweep != [(q, a, mag + 1.0) for q, a, mag in sweep] and sweep != 3
+    assert len(gauss_sum_sweep(x2ctx, 0, 50, True, table)) == 0
+
+
+def test_gauss_sweep_keeps_a_few_bytes_a_row(x2ctx):
+    # a benchmark that keeps every pass's sweep kept about 116 bytes a row
+    # as Python tuples, 33.7 MiB at q_max = 1000
+    import tracemalloc
+
+    table = SieveTable.build(x2ctx, 1000.0)
+    gauss_sum_sweep(x2ctx, 20, 1000.0, True, table)  # table caches out of the count
+    tracemalloc.start()
+    try:
+        sweep = gauss_sum_sweep(x2ctx, 1000, 1000.0, True, table)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) == 304_192
+    assert kept < 8 * 2**20
 
 
 def test_gauss_odd_prime_magnitudes(x2ctx):
@@ -559,6 +679,22 @@ def test_weyl_lhs_bits_match_fresh_arrays(fixtures, x2ctx, name):
     rng = np.random.default_rng(20)
     thetas = [*rng.random(16), Fraction(1, 3), Fraction(2, 7), Fraction(1, (1 << 40) + 15), 2.0**-150]
     rep = weyl_sum_audit(ctx, 4.0, 10**4, thetas, table=table)
+    vals = ctx.aux(np.flatnonzero(w_mask(table, 10**4)[1:]) + 1)
+    for s, theta in zip(rep.samples, thetas, strict=True):
+        assert s.lhs == abs(complex(np.sum(np.exp(-2j * np.pi * _phases_mod1(vals, theta)))))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 20])
+@pytest.mark.parametrize("name", ["squares", "sextic"])
+def test_weyl_halves_match_one_theta_at_a_time(fixtures, x2ctx, name, count):
+    # the second half of the thetas is summed on the worker thread; every
+    # sample is the bits of an audit of its theta alone
+    ctx = x2ctx if name == "squares" else AuxiliaryBuilder(fixtures["sextic"]).context(8192)
+    table = SieveTable.build(ctx, 4.0)
+    thetas = [Fraction(1, 3), 2.0**-150, *np.random.default_rng(count).random(18)][:count]
+    rep = weyl_sum_audit(ctx, 4.0, 10**4, thetas, table=table)
+    alone = [weyl_sum_audit(ctx, 4.0, 10**4, [theta], table=table).samples[0] for theta in thetas]
+    assert rep.samples == alone
     vals = ctx.aux(np.flatnonzero(w_mask(table, 10**4)[1:]) + 1)
     for s, theta in zip(rep.samples, thetas, strict=True):
         assert s.lhs == abs(complex(np.sum(np.exp(-2j * np.pi * _phases_mod1(vals, theta)))))

@@ -10,6 +10,7 @@ from polysieve.harmonic import _fold_fft
 from polysieve.increment import IncrementConfig
 from polysieve.leveld import (
     ModulusFamily,
+    _class_means,
     build_family,
     l_value,
     level_d_audit,
@@ -315,6 +316,27 @@ def test_branch2_matches_the_loop_over_every_subset():
         rep = level_d_audit(f, Q, 1, alpha)
         size = len(rep.branch2_S) if rep.branch2_found else None
         assert (rep.branch2_found, size) == _branch2_py(f, Q, alpha)
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_class_means_match_the_bincount_loop(mask):
+    # branch 2 once took two bincounts over positions % R for every set;
+    # the row sums give a mask's means exactly, real f's to rounding
+    rng = np.random.default_rng(41)
+    for X in (1, 2, 7, 100, 601):
+        f = (rng.random(X) < 0.3).astype(float) if mask else rng.uniform(-1, 1, X)
+        absf = np.abs(f)
+        padded = np.zeros(2 * X + 1)
+        padded[1 : X + 1] = absf
+        positions = np.arange(1, X + 1)
+        for R in range(1, X + 1):
+            pos = positions % R
+            want = np.bincount(pos, weights=absf, minlength=R) / np.maximum(np.bincount(pos, minlength=R), 1)
+            got = _class_means(padded, X, R)
+            if mask:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
