@@ -41,7 +41,7 @@ from .harmonic import (
     weight_fourier_audit,
     weyl_sum_audit,
 )
-from .leveld import ModulusFamily, build_family, l_value, level_d_audit, lift_fraction
+from .leveld import ModulusFamily, build_family, level_d_audit
 from .increment import (
     F_eval,
     IncrementConfig,

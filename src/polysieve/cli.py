@@ -270,6 +270,8 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
         raise ConfigError(f"leveld variant must be 0, 1 or 2, not {variant}")
     if variant:
         fam = leveld.build_family(variant, alpha, ctx.config.increment_config())
+    elif not p["members"]:
+        raise ConfigError("leveld members must not be empty")
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []
@@ -324,6 +326,8 @@ def _task_dmax(ctx: RunContext, p: dict) -> dict:
 
 def _task_greedy(ctx: RunContext, p: dict) -> dict:
     xs = [int(x) for x in p["x_values"]]
+    if any(X < 1 for X in xs):
+        raise ConfigError(f"greedy x_values must be at least 1, not {xs}")
     k = ctx.normalized.degree
     rows = []
     for X in xs:

@@ -20,9 +20,10 @@ import numpy as np
 
 from .intersective import AuxiliaryContext
 from .search import AvoidingSet
-from .sieve import SieveTable, J_factor_float, in_W, w_mask
+from .sieve import SieveTable, J_factor, in_W, w_mask
 
 TWO_PI = 2.0 * math.pi
+_SAMPLES_PER_UNIT = 4  # weight_fourier_audit samples w^ at t = m / 4
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ class WeightFourierAudit:
     argmax_t: float
     w0: float
     violations: list[float]
-    ts: np.ndarray = field(repr=False)  # the sampled t = m / samples_per_unit
+    ts: np.ndarray = field(repr=False)  # the sampled t = m / _SAMPLES_PER_UNIT
     magnitudes: np.ndarray = field(repr=False)  # |w^(t)| at each sampled t
 
     def to_jsonable(self) -> dict:
@@ -134,24 +135,22 @@ class WeightFourierAudit:
         }
 
 
-def weight_fourier_audit(
-    w: SmoothWeight, t_max: float, samples_per_unit: int = 4
-) -> WeightFourierAudit:
+def weight_fourier_audit(w: SmoothWeight, t_max: float) -> WeightFourierAudit:
     """Fit the smallest C with |w^(t)| <= C exp(-sqrt(t/2)) on [0, t_max].
 
-    The transform is evaluated on the grid t = m/samples_per_unit by a single
-    zero-padded FFT (exact for the piecewise-linear interpolant after the
-    Fejer correction), so the whole sweep costs one FFT.
+    The transform is evaluated on the grid t = m/_SAMPLES_PER_UNIT by a
+    single zero-padded FFT (exact for the piecewise-linear interpolant after
+    the Fejer correction), so the whole sweep costs one FFT.
     """
     limit = w.decay_audit_limit()
     if t_max > limit:
         raise ValueError(f"t_max {t_max} beyond the grid-resolved range {limit:.0f}")
-    P = w.resolution * samples_per_unit
-    m_max = int(t_max * samples_per_unit)
+    P = w.resolution * _SAMPLES_PER_UNIT
+    m_max = int(t_max * _SAMPLES_PER_UNIT)
     padded = np.zeros(P)
     padded[: len(w.grid)] = w.grid
     spec = np.fft.rfft(padded)[: m_max + 1] / w.resolution
-    ts = np.arange(m_max + 1) / samples_per_unit
+    ts = np.arange(m_max + 1) / _SAMPLES_PER_UNIT
     mags = np.abs(spec) * _fejer(np.pi * ts / w.resolution)
     env = np.exp(-np.sqrt(ts / 2.0))
     ratios = mags / env
@@ -207,15 +206,15 @@ def g_build(
         raise ValueError("g_build needs a polynomial positive and increasing on the naturals")
     if table is None:
         table = SieveTable.build(aux, U)
+    J = float(J_factor(table))  # the exact rational, rounded once
     n_max = poly.largest_n_at_most(X)
     if n_max == 0:
-        return WeightedImage(aux, X, U, np.zeros(0, np.int64), np.zeros(0), float(J_factor_float(table)), table)
+        return WeightedImage(aux, X, U, np.zeros(0, np.int64), np.zeros(0), J, table)
     ns = np.flatnonzero(w_mask(table, n_max)[1:]) + 1
     # the values lie in [1, X], so they fit in int64 even when the
     # evaluation bound forced object integers
     vals = poly(ns).astype(np.int64, copy=False)
     derivs = poly.derivative()(ns).astype(float)
-    J = float(J_factor_float(table))
     weights = J * derivs * w(vals / X)
     return WeightedImage(aux, X, U, vals, weights, J, table)
 
@@ -929,7 +928,7 @@ def major_arc_predict(
     if abs(theta) > X ** -(1.0 - 1.0 / (8 * k)):
         notes.append("theta outside the major-arc radius hypothesis")
     table = image.table
-    restricted = 1.0 / J_factor_float(table, q)
+    restricted = float(1 / J_factor(table, q))
     if q == 1:
         gauss = complex(1.0)
     else:

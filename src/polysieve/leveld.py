@@ -1,10 +1,11 @@
-"""Pairwise-coprime modulus families, fraction lifting, and the level-d
-energy audit.
+"""Pairwise-coprime modulus families and the level-d energy audit.
 
 A family holds one distinguished highly-composite member (a large power of a
-primorial) plus maximal prime powers in an interval. Every denominator up to
-the family's reach divides a product of few members, which is what lets the
-energy over reduced fractions be grouped by the minimal cover size.
+primorial) plus maximal prime powers in an interval. The level-d energy sums
+|f^(a/R_S)|^2 over the member sets S of size d and the residues a mod R_S
+that no member of S divides; level_d_energy evaluates it in closed form from
+one autocorrelation of f, and level_d_audit checks it against the paper's
+bound next to the density alternative.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ C0 = 2.0**13  # the level-d bound is alpha^2 X^2 (C0 L / d)^d
 
 @dataclass
 class ModulusFamily:
-    variant: int
     members: list[int]  # distinguished member first
     member_factors: list[dict[int, int]]
     smooth_bound: float  # primes up to this go into the distinguished member
@@ -47,28 +47,11 @@ class ModulusFamily:
             seen |= ps
         return True
 
-    def to_jsonable(self) -> dict:
-        return {
-            "variant": self.variant,
-            "smooth_bound": self.smooth_bound,
-            "p_max": self.p_max,
-            "distinguished": {
-                "primes": sorted(self.member_factors[0]),
-                "exponent": self.params.get("distinguished_exponent"),
-            },
-            "members": [
-                [{"p": p, "b": b} for p, b in sorted(fac.items())]
-                for fac in self.member_factors[1:]
-            ],
-            "params": {k: v for k, v in self.params.items() if k != "distinguished_exponent"},
-        }
-
     @classmethod
-    def from_members(cls, members: Sequence[int], variant: int = 0) -> "ModulusFamily":
+    def from_members(cls, members: Sequence[int]) -> "ModulusFamily":
         """Ad-hoc family from explicit members (first member distinguished)."""
         ms = list(members)
         fam = cls(
-            variant=variant,
             members=ms,
             member_factors=[factorize(m) for m in ms],
             smooth_bound=0.0,
@@ -123,66 +106,14 @@ def build_family(variant: int, alpha: float, cfg: IncrementConfig) -> ModulusFam
         members.append(p**b)
         factors.append({p: b})
     fam = ModulusFamily(
-        variant=variant,
         members=members,
         member_factors=factors,
         smooth_bound=smooth,
         p_max=p_max,
-        params={
-            "alpha": alpha,
-            "epsilon": epsilon,
-            "distinguished_exponent": exponent,
-            "C1": cfg.C1,
-            "C2": cfg.C2,
-            "C3": cfg.C3,
-        },
+        params={"distinguished_exponent": exponent},
     )
     assert fam.pairwise_coprime()
     return fam
-
-
-def minimal_cover(r: int, Q: ModulusFamily) -> Optional[list[int]]:
-    """Indices of the unique minimal member set whose product r divides.
-
-    Pairwise coprimality forces each prime power of r into exactly one
-    member, so the minimal cover is the set of those members; None when some
-    prime power is uncovered."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if r == 1:
-        return []
-    idx: set[int] = set()
-    for p, e in factorize(r).items():
-        for i, fac in enumerate(Q.member_factors):
-            if fac.get(p, 0) >= e:
-                idx.add(i)
-                break
-        else:
-            return None
-    return sorted(idx)
-
-
-def l_value(r: int, Q: ModulusFamily) -> float:
-    """Minimum number of members whose product r divides; inf if impossible."""
-    cover = minimal_cover(r, Q)
-    return float(len(cover)) if cover is not None else math.inf
-
-
-def lift_fraction(a: int, q: int, Q: ModulusFamily) -> tuple[list[int], int]:
-    """Rewrite a/q as b/R_S over a minimal member set S, with no member of S
-    dividing b. Returns (S as member values, b)."""
-    if q < 1 or math.gcd(a, q) != 1:
-        raise ValueError("need q >= 1 and gcd(a, q) = 1")
-    cover = minimal_cover(q, Q)
-    if cover is None:
-        raise ValueError("q does not divide any product of family members")
-    S = [Q.members[i] for i in cover]
-    R = math.prod(S)
-    b = a * (R // q)
-    assert Fraction(a, q) == Fraction(b, R)
-    for m in S:
-        assert b % m != 0, "lifted numerator divisible by a member"
-    return S, b
 
 
 @dataclass

@@ -38,6 +38,8 @@ import numpy as np
 from .intersective import AuxiliaryContext
 from .polycore import IntPoly
 
+EXACT_CAP = 2000  # largest X that exact_max_avoiding and dmax_table take
+
 
 @dataclass(frozen=True, slots=True)
 class AvoidingSet:
@@ -203,14 +205,12 @@ def _exhaustive_max_table(fset: frozenset[int], X: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def exact_max_avoiding(
-    F: Sequence[int], X: int, cap: int = 2000
-) -> tuple[int, AvoidingSet]:
+def exact_max_avoiding(F: Sequence[int], X: int) -> tuple[int, AvoidingSet]:
     """Exact D(F, X) with a witness, by branch and bound on the difference
     graph: vertices in decreasing-degree order, bitset candidate masks, and a
-    greedy clique-cover upper bound."""
-    if X > cap:
-        raise ValueError(f"X = {X} exceeds the exact-search cap {cap}")
+    greedy clique-cover upper bound. X is at most EXACT_CAP."""
+    if X > EXACT_CAP:
+        raise ValueError(f"X = {X} exceeds the exact-search cap {EXACT_CAP}")
     if X == 0:
         return 0, AvoidingSet.empty(0)
     diffs = sorted({f for f in F if 1 <= f <= X - 1})
@@ -453,7 +453,6 @@ class DmaxTable(Sequence):
 def dmax_table(
     F: Sequence[int],
     X_max: int,
-    cap: int = 2000,
     time_budget: Optional[float] = None,
 ) -> DmaxTable:
     """Monotone table of (X, D(F, X), witness) for X = 1..X_max.
@@ -473,11 +472,12 @@ def dmax_table(
     time_budget (seconds) aborts, between or inside steps, with the finished
     rows attached to the exception. Inside a step the kernel asks for the
     clock every _CLOCK_EVERY nodes, and only under a budget. The kernel's
-    conflict rows and level masks take about X_max^2/4 bytes (1 MB at the
-    default cap). Raises RuntimeError when the kernel cannot be built.
+    conflict rows and level masks take about X_max^2/4 bytes (1 MB at
+    EXACT_CAP, the largest X_max taken). Raises RuntimeError when the kernel
+    cannot be built.
     """
-    if X_max > cap:
-        raise ValueError(f"X_max = {X_max} exceeds the cap {cap}")
+    if X_max > EXACT_CAP:
+        raise ValueError(f"X_max = {X_max} exceeds the cap {EXACT_CAP}")
     kernel = _load_kernel()
     X_max = max(X_max, 0)
     deadline = None if time_budget is None else _clock() + time_budget

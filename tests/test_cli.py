@@ -113,6 +113,21 @@ def test_leveld_rejects_unknown_variant(tmp_path):
         run_experiment(cfg, tmp_path)
 
 
+def test_leveld_rejects_an_empty_member_list(tmp_path):
+    leveld = {"name": "leveld", "params": {"trials": 1, "members": []}}
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [leveld]})
+    with pytest.raises(ConfigError, match="members"):
+        run_experiment(cfg, tmp_path)
+
+
+def test_greedy_rejects_x_below_one(tmp_path):
+    # log X of the slope has no value at X = 0
+    greedy = {"name": "greedy", "params": {"x_values": [0, 10]}}
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [greedy]})
+    with pytest.raises(ConfigError, match="x_values"):
+        run_experiment(cfg, tmp_path)
+
+
 def test_empty_task_list(tmp_path):
     cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": []})
     summary = run_experiment(cfg, tmp_path)

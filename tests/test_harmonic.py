@@ -39,7 +39,7 @@ from polysieve.harmonic import (
 from polysieve.intersective import AuxiliaryBuilder
 from polysieve.polycore import IntPoly
 from polysieve.search import AvoidingSet
-from polysieve.sieve import SieveTable, w_mask
+from polysieve.sieve import J_factor, SieveTable, w_mask
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,16 @@ def test_g_build_example(smooth24, x2ctx):
     assert img.J == 2.0
     # 16 = h(4) is sieved out; 3 is off the image entirely
     assert 16 not in img.values and 3 not in img.values
+
+
+@pytest.mark.parametrize("name", ["x2", "x2m1", "sextic"])
+def test_g_build_j_is_the_exact_product_rounded_once(smooth24, normalized_fixtures, name):
+    # a sum of logs misses in the last bits: 3.0000000000000004 for the
+    # squares at U = 4 and 3.999999999999999 for the sextic at U = 2
+    ctx = AuxiliaryBuilder(normalized_fixtures[name]).context(1)
+    for U in (2, 4, 55, 1000):
+        img = g_build(ctx, 100, U, smooth24)
+        assert img.J == float(J_factor(img.table))
 
 
 def test_g_mass_close_to_2x_integral(smooth24, x2ctx):

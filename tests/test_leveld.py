@@ -12,14 +12,11 @@ from polysieve.leveld import (
     ModulusFamily,
     _class_means,
     build_family,
-    l_value,
     level_d_audit,
     level_d_energy,
     level_d_energy_bruteforce,
-    lift_fraction,
-    minimal_cover,
 )
-from polysieve.nt import factorize, primes_upto
+from polysieve.nt import primes_upto
 
 
 def test_build_family_variant1_example():
@@ -70,60 +67,21 @@ def test_build_family_validation():
         build_family(3, 0.1, IncrementConfig())
 
 
-def test_l_value_examples():
-    Q = ModulusFamily.from_members([4, 9, 5])
-    assert l_value(1, Q) == 0
-    assert l_value(6, Q) == 2
-    assert l_value(8, Q) == math.inf
-
-
-def test_l_value_bounded_by_omega():
-    Q = ModulusFamily.from_members([16, 81, 25, 49, 121, 169])
-    for q in range(1, 10**4 + 1):
-        lv = l_value(q, Q)
-        if lv != math.inf:
-            assert lv <= len(factorize(q))
-
-
 def test_denominator_lower_bound():
-    # members above the smooth part are prime powers > Y; l(q) = d forces
-    # q >= Y^(d-1)
-    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
-    Y = fam.smooth_bound
-    for q in range(2, 10**4 + 1):
-        lv = l_value(q, fam)
-        if lv not in (math.inf, 0):
-            assert q >= Y ** (lv - 1) * (1 - 1e-9)
-
-
-def test_lift_fraction_examples():
-    Q = ModulusFamily.from_members([4, 9, 5])
-    S, b = lift_fraction(1, 6, Q)
-    assert sorted(S) == [4, 9] and b == 6
-    S, b = lift_fraction(1, 4, Q)
-    assert S == [4] and b == 1
-    S, b = lift_fraction(7, 45, Q)
-    assert sorted(S) == [5, 9] and b == 7
-
-
-def test_lift_fraction_postconditions():
-    Q = ModulusFamily.from_members([8, 27, 25, 49])
-    from fractions import Fraction
-
-    for q in (2, 4, 8, 6, 15, 35, 54, 200):
-        cover = minimal_cover(q, Q)
-        if cover is None:
-            with pytest.raises(ValueError):
-                lift_fraction(1, q, Q)
-            continue
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            S, b = lift_fraction(a, q, Q)
-            R = math.prod(S)
-            assert Fraction(a, q) == Fraction(b, R)
-            assert all(b % m for m in S)
-            assert len(S) == l_value(q, Q)
+    # every member but the first is a prime power p^b with p > Y, so a
+    # product of d members with d - 1 of them outside the distinguished one
+    # is at least Y^(d-1)
+    for variant, alpha, cfg in (
+        (1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0)),
+        (1, 0.02, IncrementConfig(epsilon=0.5)),
+        (2, 0.05, IncrementConfig(C2=1000.0, C3=1.0)),
+    ):
+        fam = build_family(variant, alpha, cfg)
+        Y = fam.smooth_bound
+        assert len(fam.members) > 1
+        for m, fac in zip(fam.members[1:], fam.member_factors[1:]):
+            ((p, b),) = fac.items()
+            assert p > Y and m == p**b > Y
 
 
 def test_level_d_audit_structured_example():
@@ -186,16 +144,6 @@ def test_monte_carlo_dichotomy():
                 rep = level_d_audit(f, Q, d, alpha)
                 if rep.hypotheses_ok:
                     assert rep.dichotomy_ok
-
-
-def test_family_serialization():
-    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
-    blob = fam.to_jsonable()
-    assert blob["distinguished"]["primes"] == [2, 3, 5, 7]
-    assert blob["distinguished"]["exponent"] == 12
-    assert {"p": 11, "b": 2} in blob["members"][0:1][0] or any(
-        {"p": 11, "b": 2} in m for m in blob["members"]
-    )
 
 
 def _level_d_energy_fft(f, Q, d):
@@ -365,7 +313,7 @@ def test_energy_rejects_an_autocorrelation_off_the_integers(monkeypatch):
 
 def test_real_energy_out_of_float_range_raises():
     # a member past float range, as variant 2's distinguished member
-    Q = ModulusFamily(0, [2**1100, 3], [{2: 1100}, {3: 1}], 0.0, 3.0)
+    Q = ModulusFamily([2**1100, 3], [{2: 1100}, {3: 1}], 0.0, 3.0)
     f = np.full(20, 0.5)
     with pytest.raises(OverflowError):
         level_d_energy(f, Q, 1)

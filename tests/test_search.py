@@ -72,7 +72,7 @@ def test_exact_examples():
 
 def test_exact_cap():
     with pytest.raises(ValueError):
-        exact_max_avoiding([1], 50, cap=20)
+        exact_max_avoiding([1], 2001)
 
 
 def test_greedy_examples():

@@ -7,7 +7,6 @@ from polysieve.intersective import AuxiliaryBuilder
 from polysieve.polycore import IntPoly, normalize_positive
 from polysieve.sieve import (
     J_factor,
-    J_factor_float,
     SieveTable,
     brun_sum_audit,
     in_W,
@@ -129,9 +128,9 @@ def test_j_growth_envelope(normalized_fixtures):
     for h in normalized_fixtures.values():
         ctx = AuxiliaryBuilder(h).context(1)
         k = h.degree
-        c = J_factor_float(SieveTable.build(ctx, 10)) / math.log(10) ** (k - 1)
+        c = float(J_factor(SieveTable.build(ctx, 10))) / math.log(10) ** (k - 1)
         for U in (100, 1000, 10**4):
-            J = J_factor_float(SieveTable.build(ctx, U))
+            J = float(J_factor(SieveTable.build(ctx, U)))
             assert J <= c * math.log(U) ** (k - 1) * (1 + 1e-9)
 
 
