@@ -17,9 +17,9 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Optional, get_type_hints
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -89,14 +89,7 @@ class ExperimentConfig:
             raise ConfigError("config requires 'polynomial' and 'tasks'")
         poly = [int(c) for c in raw["polynomial"]]
         consts = raw.get("constants", {})
-        types = get_type_hints(increment.IncrementConfig)  # its fields, by name
-        bad = set(consts) - set(types)
-        if bad:
-            raise ConfigError(f"unknown constants: {sorted(bad)}")
-        for name, value in consts.items():
-            allowed = (int, float) if types[name] is float else (types[name],)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ConfigError(f"constant {name} must be {types[name].__name__}, not {value!r}")
+        _check_keys("constants", consts, {f.name: f.default for f in fields(increment.IncrementConfig)})
         tasks = []
         for i, t in enumerate(raw["tasks"]):
             extra = set(t) - {"name", "params"}
@@ -108,10 +101,7 @@ class ExperimentConfig:
             if name not in TASKS:
                 raise ConfigError(f"task {i}: unknown task {name!r}")
             params = t.get("params", {})
-            schema = TASKS[name].params
-            bad = set(params) - set(schema)
-            if bad:
-                raise ConfigError(f"task {i} ({name}): unknown params {sorted(bad)}")
+            _check_keys(f"task {i} ({name}) params", params, TASKS[name].params)
             tasks.append({"name": name, "params": params})
         # one preset: IncrementConfig's defaults, under the config's constants
         if raw.get("preset", "desk") != "desk":
@@ -139,6 +129,27 @@ class ExperimentConfig:
 
     def increment_config(self) -> increment.IncrementConfig:
         return increment.IncrementConfig(**self.constants)
+
+
+def _check_keys(what: str, given: dict, defaults: dict) -> None:
+    """Raise ConfigError unless each key of given has a default and its value
+    the default's type: an int default takes an int, a float default an int
+    or a float, a list default a list of its first element's type, and a
+    bool fits only a bool default."""
+    bad = set(given) - set(defaults)
+    if bad:
+        raise ConfigError(f"{what}: unknown keys {sorted(bad)}")
+    for key, value in given.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{what}: {key} must be {type(defaults[key]).__name__}, not {value!r}")
+
+
+def _fits(value: Any, default: Any) -> bool:
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 class RunContext:
@@ -182,21 +193,12 @@ class RunContext:
 
 @dataclass
 class TaskDef:
-    params: dict  # name -> default (None means required); TASKS is the only place defaults live
+    params: dict  # name -> default, which sets the type; TASKS is the only place defaults live
     run: Callable[[RunContext, dict], dict]
     # result -> True (passed), False (failed) or None (not decided); a pure
     # function of the recorded fields, so a parsed record gives the same
     # verdict. None for a task whose check cannot fail.
     verdict: Optional[Callable[[dict], Optional[bool]]] = None
-
-
-def _fill(params: dict, schema: dict, task: str) -> dict:
-    out = dict(schema)
-    out.update(params)
-    missing = [k for k, v in out.items() if v is None]
-    if missing:
-        raise ConfigError(f"task {task}: missing params {missing}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,8 @@ def _task_gauss(ctx: RunContext, p: dict) -> dict:
 
 def _task_mass(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
+    if X < 1:
+        raise ConfigError(f"mass x must be at least 1, not {X}")
     A = ctx.make_set(p["set"], X)
     cfg = ctx.config.increment_config()
     ap = harmonic.ArcParams.make(max(A.alpha, 1e-9), cfg.epsilon, cfg.C1, X)
@@ -266,12 +270,14 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
     alpha = float(p["alpha"])
     variant = int(p["variant"])
+    if X < 1 or not 0 < alpha <= 1:
+        raise ConfigError(f"leveld needs x >= 1 and 0 < alpha <= 1, not x = {X}, alpha = {alpha}")
     if variant not in (0, 1, 2):
         raise ConfigError(f"leveld variant must be 0, 1 or 2, not {variant}")
     if variant:
         fam = leveld.build_family(variant, alpha, ctx.config.increment_config())
-    elif not p["members"]:
-        raise ConfigError("leveld members must not be empty")
+    elif not p["members"] or min(p["members"]) < 1:
+        raise ConfigError(f"leveld members must be a nonempty list of integers >= 1, not {p['members']}")
     else:
         fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
     verdicts = []
@@ -308,6 +314,8 @@ def _task_iterate(ctx: RunContext, p: dict) -> dict:
 
 def _task_dmax(ctx: RunContext, p: dict) -> dict:
     xm = int(p["x_max"])
+    if xm > search.EXACT_CAP:
+        raise ConfigError(f"dmax x_max must be at most {search.EXACT_CAP}, not {xm}")
     budget = float(p["budget"])  # seconds; 0.0 means no budget
     if not budget >= 0:  # NaN too
         raise ConfigError(f"dmax budget must be nonnegative, not {budget}")
@@ -352,6 +360,8 @@ def _task_greedy(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_weight(ctx: RunContext, p: dict) -> dict:
+    if not p["t_max"] >= 0:  # NaN too
+        raise ConfigError(f"weight t_max must be nonnegative, not {p['t_max']}")
     w = harmonic.smooth_weight_build(int(p["depth"]), int(p["resolution"]))
     audit = harmonic.weight_fourier_audit(w, float(p["t_max"]))
     ctx.side_files.append(
@@ -447,7 +457,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             written = len(ctx.side_files)
             t0 = time.perf_counter()
             try:
-                result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
+                result = TASKS[name].run(ctx, {**TASKS[name].params, **task["params"]})
             except Exception as exc:
                 duration = (time.perf_counter() - t0) * 1000.0
                 error = {"type": type(exc).__name__, "message": str(exc)}

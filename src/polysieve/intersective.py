@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .nt import crt, divisors, factorize, primes_upto, resultant, v_p
+from .nt import crt, factorize, primes_upto, resultant, v_p
 from .polycore import IntPoly
 
 
@@ -173,21 +173,8 @@ def _newton_lift(f: IntPoly, a: int, m: int, prec: int, p: int) -> int:
 
 
 def _integer_roots(f: IntPoly) -> list[int]:
-    """All integer roots of f (exact, via divisors of the constant term)."""
-    roots = []
-    g = f
-    while g.coeffs[0] == 0 and g.degree >= 1:
-        if 0 not in roots:
-            roots.append(0)
-        g = IntPoly(g.coeffs[1:])
-    c0 = abs(g.coeffs[0])
-    if c0 == 0 or g.degree == 0:
-        return sorted(roots)
-    for d in divisors(c0):
-        for r in (d, -d):
-            if g(r) == 0 and r not in roots:
-                roots.append(r)
-    return sorted(roots)
+    """All integer roots of f, ascending: each is an end of a root cell."""
+    return sorted({e for c in f.root_cells() for e in (c, c + 1) if f(e) == 0})
 
 
 class _SquarefreeRootFinder:

@@ -90,13 +90,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def v_p(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

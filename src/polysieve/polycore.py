@@ -107,20 +107,9 @@ class IntPoly:
         return np.flatnonzero(self.eval_mod(np.arange(m), m) == 0).tolist()
 
     def largest_n_at_most(self, X: int) -> int:
-        """Largest n >= 1 with self(n) <= X, or 0 when self(1) > X; self must
-        be increasing on n >= 1."""
-        if self(1) > X:
-            return 0
-        lo, hi = 1, 2
-        while self(hi) <= X:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self(mid) <= X:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Largest n >= 1 with self(n) <= X, or 0 when there is none; the
+        leading coefficient must be positive."""
+        return IntPoly((self.coeffs[0] - X, *self.coeffs[1:])).last_nonpositive(1)
 
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
@@ -169,23 +158,37 @@ class IntPoly:
         # 2 + ceil(max |c_i| / |lead|), in integers so that no float overflows
         return 2 - (-max(abs(c) for c in self.coeffs[:-1]) // abs(self.leading))
 
+    def root_cells(self) -> list[int]:
+        """Ascending integers c such that every real root lies in some cell
+        [c, c + 1], by derivative-sequence isolation (Collins and Loos, 1982)
+        in integers: the derivative's cells are kept, and between other
+        consecutive ends of them and the Cauchy bounds self is monotone, so a
+        sign change there is bisected down to one cell. A cell may hold none."""
+        if self.degree < 1:
+            return []
+        cells = set(self.derivative().root_cells())
+        bound = self.cauchy_bound()
+        ends = sorted({-bound, bound, *cells, *(c + 1 for c in cells)})
+        for a, b in zip(ends, ends[1:]):
+            pa = self(a)
+            if pa * self(b) <= 0:
+                while b - a > 1:  # a root lies in [a, b]
+                    mid = (a + b) // 2
+                    a, b = (mid, b) if pa * self(mid) > 0 else (a, mid)
+                cells.add(a)
+        return sorted(cells)
+
     def last_nonpositive(self, lo: int = 1) -> int:
         """Largest integer n >= lo with self(n) <= 0, or lo - 1 when there is
-        none; the leading coefficient must be positive.
-
-        Exact: no root reaches the Cauchy bound, so one downward scan from
-        it finds n.
-        """
-        for n in range(self.cauchy_bound(), lo - 1, -1):
-            if self(n) <= 0:
-                return n
-        return lo - 1
+        none; the leading coefficient must be positive. Exact: if
+        self(n) <= 0 < self(n + 1), a root lies in [n, n + 1), so n is an end
+        of a root cell, and only the ends are tested."""
+        ends = {e for c in self.root_cells() for e in (c, c + 1)}
+        return max((n for n in ends if n >= lo and self(n) <= 0), default=lo - 1)
 
     def positive_for_all_n_from(self, n0: int = 1) -> bool:
         """True iff self(n) > 0 for every integer n >= n0 (exact check)."""
-        if self.is_zero or self.leading < 0:
-            return False
-        return self.last_nonpositive(n0) < n0
+        return self.leading > 0 and self.last_nonpositive(n0) < n0
 
     def to_coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]

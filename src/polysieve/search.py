@@ -108,15 +108,20 @@ class AvoidingSet:
 def image_values(poly: IntPoly, lo: int, hi: int) -> list[int]:
     """All values of poly over the integers that land in [lo, hi], sorted.
 
-    Every root lies within the Cauchy bound, so beyond it plus
-    hi^(1/degree) + 2 the polynomial exceeds hi in absolute value. The
-    scan runs in blocks of 2^12 points, since a polynomial with large
-    coefficients is evaluated in object integers there."""
-    bound = poly.cauchy_bound() + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
-    vals = set()
-    for start in range(-bound, bound + 1, 1 << 12):
-        block = poly(np.arange(start, min(start + (1 << 12), bound + 1))).tolist()
-        vals.update(v for v in block if lo <= v <= hi)
+    lo <= poly(n) <= hi can change truth only at an end of a root cell of
+    poly - lo or poly - hi, so each gap between consecutive ends is tested
+    at one point, and only the member gaps are evaluated."""
+    if poly.degree < 1:  # a constant has no cells, and one value
+        return [poly(0)] if lo <= poly(0) <= hi else []
+    ends = set()
+    for level in (lo, hi):
+        cells = IntPoly((poly.coeffs[0] - level, *poly.coeffs[1:])).root_cells()
+        ends.update(c + i for c in cells for i in (0, 1))
+    ends = sorted(ends)
+    vals = {v for v in map(poly, ends) if lo <= v <= hi}
+    for a, b in zip(ends, ends[1:]):
+        if b - a > 1 and lo <= poly(a + 1) <= hi:
+            vals.update(poly(np.arange(a + 1, b)).tolist())
     return sorted(vals)
 
 

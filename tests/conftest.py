@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from polysieve.polycore import IntPoly, normalize_positive
 
@@ -42,3 +43,25 @@ def squares_upto(X):
         out.append(n * n)
         n += 1
     return out
+
+
+@st.composite
+def int_polys(draw):
+    """Integer polynomials with a positive leading coefficient: random ones
+    of degree 1-5 with |c| <= 30, and products of planted integer roots in
+    [-8, 8] (repeats and neighbours allowed) with an optional quadratic
+    x^2 + b x + c, |b|, |c| <= 10. Every real root lies in (-32, 32)."""
+    if draw(st.booleans()):
+        lower = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+        return IntPoly.of([*lower, draw(st.integers(1, 30))])
+    coeffs = [draw(st.integers(1, 3))]
+    factors = [(-r, 1) for r in draw(st.lists(st.integers(-8, 8), min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        factors.append((draw(st.integers(-10, 10)), draw(st.integers(-10, 10)), 1))
+    for f in factors:  # coeffs *= f, both constant term first
+        out = [0] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        coeffs = out
+    return IntPoly.of(coeffs)

@@ -13,7 +13,6 @@ from polysieve.cli import (
     ConfigError,
     ExperimentConfig,
     RunContext,
-    _fill,
     dumps_record,
     emit_report,
     main,
@@ -78,6 +77,49 @@ def test_config_constants_are_type_checked():
             ExperimentConfig.from_dict({**MINIMAL, "constants": consts})
     cfg = ExperimentConfig.from_dict({**MINIMAL, "constants": {"epsilon": 1, "q_cap": 32}})
     assert cfg.increment_config().epsilon == 1 and cfg.increment_config().q_cap == 32
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("gauss", {"all_a": "false"}),  # a nonempty string is true: it ran the full sweep
+        ("aux", {"ell_max": "3"}),
+        ("step", {"x": 2000.9}),  # int() truncated it
+        ("sieve", {"ell": True}),
+        ("greedy", {"x_values": [1000, 1e4]}),
+        ("mass", {"set": "greedy"}),
+        ("check", {"prime_bound": None}),
+    ],
+)
+def test_task_params_are_type_checked(name, params):
+    # a given param has the type of its default in TASKS, as a constant does
+    with pytest.raises(ConfigError, match="must be"):
+        ExperimentConfig.from_dict({**MINIMAL, "tasks": [{"name": name, "params": params}]})
+
+
+def test_float_params_take_ints():
+    task = {"name": "sieve", "params": {"U": 10, "ell": 1}}
+    assert ExperimentConfig.from_dict({**MINIMAL, "tasks": [task]}).tasks == [task]
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("leveld", {"x": 0, "trials": 1}, "x"),
+        ("leveld", {"alpha": 0.0, "trials": 1}, "alpha"),
+        ("leveld", {"alpha": 1.5, "trials": 1}, "alpha"),
+        ("leveld", {"members": [0, 3], "trials": 1}, "members"),
+        ("mass", {"x": 0}, "x"),
+        ("weight", {"t_max": -1.0}, "t_max"),
+        ("dmax", {"x_max": 2001}, "x_max"),
+    ],
+)
+def test_tasks_reject_out_of_range_input(tmp_path, name, params, key):
+    # these died inside the task with numpy, division or factorization errors
+    # that did not name the config
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [{"name": name, "params": params}]})
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(cfg, tmp_path)
 
 
 def test_f_eval_task_matches_example(tmp_path):
@@ -328,7 +370,7 @@ def test_verdicts_survive_json_round_trip():
     checked = set()
     for task in cfg.tasks:
         name, verdict = task["name"], TASKS[task["name"]].verdict
-        result = TASKS[name].run(ctx, _fill(task["params"], TASKS[name].params, name))
+        result = TASKS[name].run(ctx, {**TASKS[name].params, **task["params"]})
         if verdict is not None:
             value = verdict(result)
             assert value is None or type(value) is bool

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import int_polys
+from polysieve import intersective
 from polysieve.intersective import (
     AuxiliaryBuilder,
     Certified,
@@ -17,7 +23,9 @@ from polysieve.intersective import (
     intersectivity_verdict,
     padic_roots,
     squarefree_factors,
+    _integer_roots,
 )
+from polysieve.nt import factorize
 from polysieve.polycore import IntPoly
 
 
@@ -94,6 +102,43 @@ def test_verdict_large_constant_term():
     # (x - 10^16)(x - 5): the roots come from the divisors of 5 * 10^16
     h = IntPoly((5 * 10**16, -(10**16 + 5), 1))
     assert intersectivity_verdict(h, 100) == Certified(5)
+
+
+def _integer_roots_by_divisors(f):
+    """The divisor search _integer_roots used to run: once the factors x are
+    gone, every integer root divides the constant term. Reference only."""
+    roots = set()
+    g = f
+    while g.coeffs[0] == 0 and g.degree >= 1:
+        roots.add(0)
+        g = IntPoly(g.coeffs[1:])
+    if g.degree >= 1:
+        ds = [1]
+        for p, e in factorize(abs(g.coeffs[0])).items():
+            ds = [d * p**k for d in ds for k in range(e + 1)]
+        roots.update(r for d in ds for r in (d, -d) if g(r) == 0)
+    return sorted(roots)
+
+
+@given(int_polys())
+@settings(max_examples=300, deadline=None)
+def test_integer_roots_match_the_divisor_search(h):
+    assert _integer_roots(h) == _integer_roots_by_divisors(h)
+
+
+def test_verdict_on_a_product_of_two_large_primes():
+    # x^2 - pq, p and q the two primes after 10^15: the divisor search had
+    # to factor pq, in time that grows like sqrt(p)
+    code = (
+        "from polysieve.intersective import intersectivity_verdict\n"
+        "from polysieve.polycore import IntPoly\n"
+        "print(intersectivity_verdict(IntPoly((-(10**15 + 37) * (10**15 + 91), 0, 1)), 10))\n"
+    )
+    path = [str(Path(intersective.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "NotIntersective(prime=2, exponent=2)"
 
 
 def test_verdict_deep_two_adic_root():

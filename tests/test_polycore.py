@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import int_polys
+from polysieve import polycore
 from polysieve.polycore import (
     IntPoly,
     normalize_positive,
@@ -56,6 +63,52 @@ def test_cauchy_bound_exact():
         assert IntPoly(coeffs).cauchy_bound() == bound
     # a float quotient overflows here
     assert IntPoly((10**400, 0, 1)).cauchy_bound() == 10**400 + 2
+
+
+def _last_nonpositive_scan(p, lo, top=40):
+    """The downward scan last_nonpositive used to run, here from top, which
+    lies past every real root int_polys draws: reference only."""
+    for n in range(top, lo - 1, -1):
+        if p(n) <= 0:
+            return n
+    return lo - 1
+
+
+@given(int_polys(), st.integers(-40, 40))
+@settings(max_examples=400, deadline=None)
+def test_root_cells_hold_every_root(p, lo):
+    cells = p.root_cells()
+    assert cells == sorted(set(cells))
+    for n in range(-40, 40):
+        if p(n) == 0:
+            assert n - 1 in cells or n in cells, n
+        if p(n) * p(n + 1) < 0:  # a root strictly inside (n, n + 1)
+            assert n in cells, n
+    assert p.last_nonpositive(lo) == _last_nonpositive_scan(p, lo)
+
+
+def test_root_cells_examples():
+    assert IntPoly((5,)).root_cells() == []
+    # x^2 - 2: the roots +-1.414 lie inside [-2, -1] and [1, 2]
+    cells = IntPoly((-2, 0, 1)).root_cells()
+    assert -2 in cells and 1 in cells
+    square = IntPoly((0, 0, 1))
+    assert [square.largest_n_at_most(X) for X in (10**16 - 1, 10**16, 10**40)] == [10**8 - 1, 10**8, 10**20]
+
+
+@pytest.mark.parametrize("b, shift", [(10**16, 0), (-(10**16), 10**16 - 1)])
+def test_normalize_positive_with_a_huge_coefficient(b, shift):
+    # for b = 10^16 the old scan went through every n below the Cauchy bound,
+    # about 10^16; for b = -10^16 it stopped at once
+    code = (
+        "from polysieve.polycore import IntPoly, normalize_positive\n"
+        f"print(normalize_positive(IntPoly((1, {b}, 1)))[1])\n"
+    )
+    path = [str(Path(polycore.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == shift
 
 
 def test_normalize_positive_rejects_bad_input():

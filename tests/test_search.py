@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import squares_upto
+from conftest import int_polys, squares_upto
 from polysieve import search
 from polysieve.intersective import AuxiliaryBuilder
 from polysieve.polycore import IntPoly
@@ -570,10 +570,31 @@ def _image_values_loop(poly, lo, hi):
     return sorted(vals)
 
 
+def _image_values_scan(poly, lo, hi):
+    """The scan image_values used to run over every n within the Cauchy
+    bound plus hi^(1/degree) + 2, in blocks: reference only, and exact when
+    -hi <= lo <= hi."""
+    bound = poly.cauchy_bound() + int(round(hi ** (1 / max(poly.degree, 1)))) + 2
+    vals = set()
+    for start in range(-bound, bound + 1, 1 << 12):
+        block = poly(np.arange(start, min(start + (1 << 12), bound + 1))).tolist()
+        vals.update(v for v in block if lo <= v <= hi)
+    return sorted(vals)
+
+
+@given(int_polys(), st.integers(-30, 30), st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_image_values_match_the_scan(poly, lo, width):
+    hi = abs(lo) + width
+    for p in (poly, IntPoly.of(-c for c in poly.coeffs)):
+        assert image_values(p, lo, hi) == _image_values_scan(p, lo, hi)
+
+
 def test_image_values_of_a_polynomial_that_is_not_monotone():
     # n (n - 15)^2 falls from n = 5 to n = 15 after passing 100
     assert image_values(IntPoly((0, 225, -30, 1)), 1, 100) == [14, 16, 52, 68]
     assert _image_values_loop(IntPoly((0, 225, -30, 1)), 1, 100) == []
+    assert image_values(IntPoly((5,)), 1, 100) == [5] and image_values(IntPoly((5,)), 6, 100) == []
 
 
 def test_image_values_matches_loop_on_increasing_towers(normalized_fixtures):
@@ -585,3 +606,5 @@ def test_image_values_matches_loop_on_increasing_towers(normalized_fixtures):
             aux = builder.context(ell).aux
             for hi in (10, 10**3, 10**5):
                 assert image_values(aux, 1, hi) == _image_values_loop(aux, 1, hi), (name, ell, hi)
+        aux = builder.context(1).aux  # the sextic's bound costs the scan about a second
+        assert image_values(aux, 1, 10**5) == _image_values_scan(aux, 1, 10**5), name
