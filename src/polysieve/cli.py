@@ -25,6 +25,7 @@ import numpy as np
 
 from . import harmonic, increment, leveld, search, sieve
 from .intersective import AuxiliaryBuilder, intersectivity_verdict
+from .nt import FACTOR_BOUND
 from .polycore import IntPoly, normalize_positive
 
 
@@ -87,7 +88,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "polynomial" not in raw or "tasks" not in raw:
             raise ConfigError("config requires 'polynomial' and 'tasks'")
-        poly = [int(c) for c in raw["polynomial"]]
+        if not isinstance(raw["polynomial"], list):
+            raise ConfigError("polynomial must be a list of coefficients")
+        poly = [_coefficient(c) for c in raw["polynomial"]]
+        seed = raw.get("seed", 0)
+        if not _fits(seed, 0):
+            raise ConfigError(f"seed must be int, not {seed!r}")
         consts = raw.get("constants", {})
         _check_keys("constants", consts, {f.name: f.default for f in fields(increment.IncrementConfig)})
         tasks = []
@@ -109,7 +115,7 @@ class ExperimentConfig:
         return cls(
             polynomial=poly,
             tasks=tasks,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             constants=dict(consts),
         )
 
@@ -129,6 +135,19 @@ class ExperimentConfig:
 
     def increment_config(self) -> increment.IncrementConfig:
         return increment.IncrementConfig(**self.constants)
+
+
+def _coefficient(c: Any) -> int:
+    """A polynomial coefficient: an int, or a string int(s, 0) reads (the
+    CLI's --poly, and the form to_jsonable gives big ints)."""
+    if isinstance(c, str):
+        try:
+            return int(c, 0)
+        except ValueError:
+            pass
+    elif _fits(c, 0):
+        return c
+    raise ConfigError(f"polynomial coefficients must be int or integer strings, not {c!r}")
 
 
 def _check_keys(what: str, given: dict, defaults: dict) -> None:
@@ -215,18 +234,32 @@ def _task_f_eval(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_check(ctx: RunContext, p: dict) -> dict:
+    if p["prime_bound"] < 2:
+        raise ConfigError(f"check prime_bound must be at least 2, not {p['prime_bound']}")
     verdict = intersectivity_verdict(ctx.h, int(p["prime_bound"]))
     return {"verdict": verdict.to_jsonable()}
 
 
 def _task_aux(ctx: RunContext, p: dict) -> dict:
     # the builder raises on a context past the coefficient bound
+    if p["ell_max"] < 1:
+        raise ConfigError(f"aux ell_max must be at least 1, not {p['ell_max']}")
     rows = [ctx.builder.context(ell).to_jsonable() for ell in range(1, int(p["ell_max"]) + 1)]
     return {"count": len(rows), "contexts": rows}
 
 
+def _ell_and_U(name: str, p: dict) -> tuple[int, float]:
+    """A sieve's modulus ell in [1, 2^31), which the tower factors, and level U >= 0."""
+    if not 1 <= p["ell"] < FACTOR_BOUND:
+        raise ConfigError(f"{name} ell must lie in [1, 2^31), not {p['ell']}")
+    if not p["U"] >= 0:  # NaN too
+        raise ConfigError(f"{name} U must be nonnegative, not {p['U']}")
+    return int(p["ell"]), float(p["U"])
+
+
 def _task_sieve(ctx: RunContext, p: dict) -> dict:
-    table = sieve.SieveTable.build(ctx.builder.context(int(p["ell"])), float(p["U"]))
+    ell, U = _ell_and_U("sieve", p)
+    table = sieve.SieveTable.build(ctx.builder.context(ell), U)
     J = sieve.J_factor(table)
     count = sieve.w_count_in_period(table) if table.period <= sieve.PERIOD_CAP else None
     exact = None if count is None else (count * J == table.period)
@@ -239,11 +272,12 @@ def _task_sieve(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_gauss(ctx: RunContext, p: dict) -> dict:
-    aux = ctx.builder.context(int(p["ell"]))
-    table = sieve.SieveTable.build(aux, float(p["U"]))
-    sweep = harmonic.gauss_sum_sweep(
-        aux, int(p["q_max"]), float(p["U"]), all_a=bool(p["all_a"]), table=table
-    )
+    ell, U = _ell_and_U("gauss", p)
+    if p["q_max"] < 1:
+        raise ConfigError(f"gauss q_max must be at least 1, not {p['q_max']}")
+    aux = ctx.builder.context(ell)
+    table = sieve.SieveTable.build(aux, U)
+    sweep = harmonic.gauss_sum_sweep(aux, int(p["q_max"]), U, all_a=bool(p["all_a"]), table=table)
     fitted = max((mag / q**0.6 for q, _, mag in sweep), default=0.0)
     ctx.side_files.append(
         (
@@ -276,10 +310,13 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
         raise ConfigError(f"leveld variant must be 0, 1 or 2, not {variant}")
     if variant:
         fam = leveld.build_family(variant, alpha, ctx.config.increment_config())
-    elif not p["members"] or min(p["members"]) < 1:
-        raise ConfigError(f"leveld members must be a nonempty list of integers >= 1, not {p['members']}")
+    elif not p["members"]:
+        raise ConfigError("leveld members must be a nonempty list")
     else:
-        fam = leveld.ModulusFamily.from_members([int(m) for m in p["members"]])
+        try:
+            fam = leveld.ModulusFamily.from_members(p["members"])
+        except ValueError as exc:  # a member below 1, or one that shares a factor
+            raise ConfigError(f"leveld members {p['members']}: {exc}") from exc
     verdicts = []
     for _ in range(int(p["trials"])):
         mask = ctx.rng.random(X) < alpha
@@ -297,6 +334,8 @@ def _task_leveld(ctx: RunContext, p: dict) -> dict:
 
 def _task_step(ctx: RunContext, p: dict) -> dict:
     X = int(p["x"])
+    if X < increment.X_MIN:
+        raise ConfigError(f"step x must be at least {increment.X_MIN}, not {X}")
     A = ctx.make_set(p["set"], X)
     cfg = ctx.config.increment_config()
     out = increment.increment_step(A, ctx.builder.context(1), cfg)
@@ -360,9 +399,14 @@ def _task_greedy(ctx: RunContext, p: dict) -> dict:
 
 
 def _task_weight(ctx: RunContext, p: dict) -> dict:
-    if not p["t_max"] >= 0:  # NaN too
-        raise ConfigError(f"weight t_max must be nonnegative, not {p['t_max']}")
+    if p["depth"] < 2:
+        raise ConfigError(f"weight depth must be at least 2, not {p['depth']}")
+    if p["resolution"] < 2**10:
+        raise ConfigError(f"weight resolution must be at least 2^10, not {p['resolution']}")
     w = harmonic.smooth_weight_build(int(p["depth"]), int(p["resolution"]))
+    limit = w.decay_audit_limit()
+    if not 0 <= p["t_max"] <= limit:  # NaN too
+        raise ConfigError(f"weight t_max must lie in [0, {limit:.0f}], not {p['t_max']}")
     audit = harmonic.weight_fourier_audit(w, float(p["t_max"]))
     ctx.side_files.append(
         (

@@ -776,10 +776,6 @@ class ArcParams:
         qmax = max(2.0, C1 * alpha ** -(2 + epsilon))
         return cls(alpha, epsilon, C1, X, tau, qmax, L)
 
-    def check(self) -> bool:
-        expect = math.log(1.0 / self.alpha) if self.alpha < 1 else 0.0
-        return self.tau > 0 and self.Qmax >= 2 and abs(expect - self.L) < 1e-12
-
     @property
     def covers_circle(self) -> bool:
         """Whether the arcs cover R/Z: the widest gap between Farey fractions
@@ -878,12 +874,12 @@ class HarmonicParams:
         U = math.exp(math.sqrt(logx))
         Z = math.exp(logx ** (7.0 / 8.0))
         k = poly.degree
-        if poly(1) > X:
+        n = poly.largest_n_at_most(X)
+        if n == 0:
             raise ValueError("X below the first polynomial value")
-        # real solution of poly(Y) = X by bisection (poly increasing on [1, inf))
-        lo, hi = 1.0, 2.0
-        while poly(hi) < X:
-            hi *= 2
+        # real solution of poly(Y) = X by bisection in the cell [n, n + 1]
+        # (poly increasing on [1, inf))
+        lo, hi = float(n), float(n + 1)
         for _ in range(200):
             mid = (lo + hi) / 2
             if poly(mid) < X:

@@ -160,18 +160,16 @@ class StepOutcome:
         }
 
 
-def _mass_scan(
-    A: AvoidingSet, cfg: IncrementConfig, tau: float, xi_points: int = XI_POINTS
-) -> list[tuple]:
+def _mass_scan(A: AvoidingSet, cfg: IncrementConfig, tau: float) -> list[tuple]:
     """Candidate (q, xi, eta) triples, ranked, by the mass of the balanced
     weights 1_A - alpha (_mod_masses) over q = 2..q_cap and the exactly
-    antisymmetric grid xi = j tau / m, m = xi_points - 1, j = -m, -m + 2, ..., m
-    (0 alone for one point). Raw mass grows linearly in q for unstructured
-    sets, so the rank is by mass over the q * alpha(1-alpha) X noise baseline,
-    then smaller q, |xi|, xi; the caller falls through infeasible ones."""
+    antisymmetric grid xi = j tau / m, m = XI_POINTS - 1, j = -m, -m + 2, ..., m.
+    Raw mass grows linearly in q for unstructured sets, so the rank is by
+    mass over the q * alpha(1-alpha) X noise baseline, then smaller q, |xi|,
+    xi; the caller falls through infeasible ones."""
     X, alpha = A.X, A.alpha
-    m = xi_points - 1
-    abs_xis = np.arange(m % 2, m + 1, 2) * tau / m if m else np.zeros(1)
+    m = XI_POINTS - 1
+    abs_xis = np.arange(m % 2, m + 1, 2) * tau / m
     masses = _mod_masses(A, alpha, cfg.q_cap, abs_xis)
     denom = alpha * alpha * X * X
     noise = alpha * (1.0 - alpha) * X

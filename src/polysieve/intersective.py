@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .nt import crt, factorize, primes_upto, resultant, v_p
+from .nt import FACTOR_BOUND, crt, factorize, primes_upto, v_p
 from .polycore import IntPoly
 
 
@@ -225,8 +225,20 @@ class _SquarefreeRootFinder:
 
 @lru_cache(maxsize=64)
 def _discriminant_resultant(f: IntPoly) -> int:
-    """Res(f, f'), cached per factor like its squarefree decomposition."""
-    return resultant(list(f.coeffs), list(f.derivative().coeffs))
+    """Res(f, f') by the Euclidean algorithm on _q_div: Res(a, b) =
+    (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) with r = a mod b,
+    Res(a, b) = 0 when r = 0, and b^deg a for a constant b. Cached per
+    factor like its squarefree decomposition."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = _q_deriv(a)
+    res = Fraction(1)
+    while len(b) > 1:
+        _, r = _q_div(a, b)
+        if not any(r):
+            return 0
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(res * b[0] ** (len(a) - 1))
 
 
 def _factor_budget(f: IntPoly, p: int, precision: int) -> int:
@@ -404,12 +416,9 @@ class AuxiliaryBuilder:
 
     def _local(self, ell: int) -> dict[int, tuple[int, LocalRootData]]:
         """p -> (v_p(ell), chosen root) for each prime p dividing ell."""
-        if ell < 1:
-            raise ValueError("ell must be positive")
+        if not 1 <= ell < FACTOR_BOUND:
+            raise ValueError(f"ell must lie in [1, 2^31), not {ell}")
         return {p: (a, self.chosen_root(p, a)) for p, a in factorize(ell).items()}
-
-    def r_ell(self, ell: int) -> int:
-        return _residue(ell, self._local(ell))
 
     def lambda_of(self, ell: int) -> int:
         return _scaling(self._local(ell))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Optional, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 
 from .harmonic import _autocorrelation
 from .increment import IncrementConfig
-from .nt import factorize, primes_upto
+from .nt import primes_upto
 
 C0 = 2.0**13  # the level-d bound is alpha^2 X^2 (C0 L / d)^d
 
@@ -29,37 +29,24 @@ C0 = 2.0**13  # the level-d bound is alpha^2 X^2 (C0 L / d)^d
 @dataclass
 class ModulusFamily:
     members: list[int]  # distinguished member first
-    member_factors: list[dict[int, int]]
-    smooth_bound: float  # primes up to this go into the distinguished member
-    p_max: float
-    params: dict = field(default_factory=dict)
 
     @property
     def distinguished(self) -> int:
         return self.members[0]
 
-    def pairwise_coprime(self) -> bool:
-        seen: set[int] = set()
-        for fac in self.member_factors:
-            ps = set(fac)
-            if ps & seen:
-                return False
-            seen |= ps
-        return True
-
     @classmethod
     def from_members(cls, members: Sequence[int]) -> "ModulusFamily":
-        """Ad-hoc family from explicit members (first member distinguished)."""
+        """Ad-hoc family from explicit members (first member distinguished),
+        each checked by one gcd against the product of those before it."""
         ms = list(members)
-        fam = cls(
-            members=ms,
-            member_factors=[factorize(m) for m in ms],
-            smooth_bound=0.0,
-            p_max=float(max(ms)) if ms else 0.0,
-        )
-        if not fam.pairwise_coprime():
-            raise ValueError("family members must be pairwise coprime")
-        return fam
+        before = 1
+        for m in ms:
+            if m < 1:
+                raise ValueError(f"family members must be at least 1, not {m}")
+            if math.gcd(m, before) != 1:
+                raise ValueError(f"family members must be pairwise coprime; {m} shares a factor")
+            before *= m
+        return cls(ms)
 
 
 def _product(xs: Sequence[int]) -> int:
@@ -94,9 +81,10 @@ def build_family(variant: int, alpha: float, cfg: IncrementConfig) -> ModulusFam
         p_max = max(cfg.C2 * L ** ((2.0 + epsilon) * math.floor(math.log(L))), smooth)
     else:
         raise ValueError("variant must be 1 or 2")
+    # coprime by construction: the primes up to the cutoff, then one power
+    # of each larger prime
     smooth_primes = primes_upto(int(smooth))
     members = [_product(smooth_primes) ** exponent]
-    factors = [dict.fromkeys(smooth_primes, exponent)]
     for p in primes_upto(int(p_max)):
         if p <= smooth:
             continue
@@ -104,16 +92,7 @@ def build_family(variant: int, alpha: float, cfg: IncrementConfig) -> ModulusFam
         while p ** (b + 1) <= p_max:
             b += 1
         members.append(p**b)
-        factors.append({p: b})
-    fam = ModulusFamily(
-        members=members,
-        member_factors=factors,
-        smooth_bound=smooth,
-        p_max=p_max,
-        params={"distinguished_exponent": exponent},
-    )
-    assert fam.pairwise_coprime()
-    return fam
+    return ModulusFamily(members)
 
 
 @dataclass

@@ -9,12 +9,11 @@ int64 only where no intermediate can overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-from .nt import gcd_many
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     def content(self) -> int:
-        return gcd_many(self.coeffs)
+        return math.gcd(*self.coeffs)
 
     def max_abs_coeff(self) -> int:
         return max(abs(c) for c in self.coeffs)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .intersective import AuxiliaryContext
-from .nt import gcd_many, primes_upto, v_p
+from .nt import primes_upto, v_p
 from .polycore import IntPoly
 
 PERIOD_CAP = 10**7  # largest period w_count_in_period enumerates (a 10 MB mask)
@@ -79,7 +79,7 @@ def fixed_divisor(h: IntPoly) -> int:
     """gcd of all integer values of h, via values at 0..deg."""
     if h.is_zero:
         raise ValueError("zero polynomial has no fixed divisor")
-    return gcd_many(h(n) for n in range(h.degree + 1))
+    return math.gcd(*(h(n) for n in range(h.degree + 1)))
 
 
 def local_datum(aux: IntPoly, p: int) -> LocalSieveDatum:

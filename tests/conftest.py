@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
+import polysieve
 from polysieve.polycore import IntPoly, normalize_positive
 
 X2 = IntPoly((0, 0, 1))
@@ -34,6 +40,16 @@ def smooth24():
     from polysieve.harmonic import smooth_weight_build
 
     return smooth_weight_build(24, 2**16)
+
+
+def run_python(code, timeout):
+    """stdout of code run in a fresh interpreter on this checkout's polysieve;
+    the run must exit 0 within timeout seconds."""
+    path = [str(Path(polysieve.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def squares_upto(X):

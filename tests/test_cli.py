@@ -97,6 +97,32 @@ def test_task_params_are_type_checked(name, params):
         ExperimentConfig.from_dict({**MINIMAL, "tasks": [{"name": name, "params": params}]})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"polynomial": [0, 0, 1.5]},  # int() truncated it to x^2
+        {"polynomial": [0, 0, 1.0]},
+        {"polynomial": [0, True]},
+        {"polynomial": ["0", "x", "1"]},
+        {"polynomial": "0,0,1"},
+        {"seed": 2.9},  # int() truncated it to 2
+        {"seed": True},
+        {"seed": "3"},
+    ],
+)
+def test_polynomial_and_seed_are_type_checked(raw):
+    with pytest.raises(ConfigError, match="polynomial|seed"):
+        ExperimentConfig.from_dict({**MINIMAL, **raw})
+
+
+def test_polynomial_takes_ints_and_integer_strings():
+    # the CLI passes strings, and to_jsonable writes big ints as decimal or
+    # tagged hex strings
+    big = 10**5000
+    raw = {**MINIMAL, "polynomial": ["-1", 0, "0x10", to_jsonable(big), to_jsonable(10**20)]}
+    assert ExperimentConfig.from_dict(raw).polynomial == [-1, 0, 16, big, 10**20]
+
+
 def test_float_params_take_ints():
     task = {"name": "sieve", "params": {"U": 10, "ell": 1}}
     assert ExperimentConfig.from_dict({**MINIMAL, "tasks": [task]}).tasks == [task]
@@ -112,11 +138,25 @@ def test_float_params_take_ints():
         ("mass", {"x": 0}, "x"),
         ("weight", {"t_max": -1.0}, "t_max"),
         ("dmax", {"x_max": 2001}, "x_max"),
+        ("weight", {"t_max": 900.0}, "t_max"),  # past decay_audit_limit(), 813 here
+        ("weight", {"depth": 1}, "depth"),
+        ("weight", {"resolution": 512}, "resolution"),
+        ("sieve", {"ell": 0}, "ell"),
+        ("sieve", {"ell": 2**31}, "ell"),
+        ("sieve", {"U": -5.0}, "U"),
+        ("sieve", {"U": float("nan")}, "U"),
+        ("gauss", {"ell": 2**31}, "ell"),
+        ("gauss", {"U": -1.0}, "U"),
+        ("gauss", {"q_max": 0}, "q_max"),
+        ("aux", {"ell_max": -1}, "ell_max"),
+        ("check", {"prime_bound": -3}, "prime_bound"),
+        ("step", {"x": 15}, "x"),
+        ("leveld", {"members": [4, 6], "trials": 1}, "members"),
     ],
 )
 def test_tasks_reject_out_of_range_input(tmp_path, name, params, key):
     # these died inside the task with numpy, division or factorization errors
-    # that did not name the config
+    # that did not name the config, or ran and recorded empty results
     cfg = ExperimentConfig.from_dict({**MINIMAL, "tasks": [{"name": name, "params": params}]})
     with pytest.raises(ConfigError, match=key):
         run_experiment(cfg, tmp_path)

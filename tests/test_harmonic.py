@@ -1,17 +1,15 @@
 import cmath
 import dataclasses
 import math
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from polysieve import harmonic
 from polysieve.harmonic import (
     ArcParams,
@@ -402,22 +400,14 @@ def test_weighted_image_grid_memory():
         f"spec = fourier_grid(img, {N})\n"
         "print(peak() - before)\n"
     )
-    path = [str(Path(harmonic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) * 1024 < 12 * N  # VmHWM counts KiB
+    assert int(run_python(code, timeout=120)) * 1024 < 12 * N  # VmHWM counts KiB
 
 
 def test_import_loads_no_thread_pool():
     # the spectral layer's worker thread comes from concurrent.futures,
     # which is imported on the first call, not with the package
     code = "import sys, polysieve\nprint('concurrent.futures' in sys.modules)"
-    path = [str(Path(harmonic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_python(code, timeout=60).strip() == "False"
 
 
 def _spectral_calls(smooth24, x2ctx, sextic):
@@ -764,7 +754,7 @@ def test_classify_examples():
 
 def test_arc_params_invariants():
     p = ArcParams.make(0.1, 1.0, 10.0, 10**5)
-    assert p.check()
+    assert p.L == math.log(10)
     assert p.tau == pytest.approx(10 * math.log(10) ** 2 / 10**5)
     assert p.Qmax == pytest.approx(10 * 0.1**-3)
 

@@ -146,23 +146,23 @@ def test_mass_scan_matches_pointwise_fourier():
     ns = np.arange(1, X + 1)
     w = np.where(np.isin(ns, A.member_array()), 1.0 - A.alpha, -A.alpha)
     cfg = IncrementConfig(q_cap=12)
-    ranked = _mass_scan(A, cfg, 0.01, xi_points=5)
-    assert len(ranked) == (cfg.q_cap - 1) * 5
+    ranked = _mass_scan(A, cfg, 0.01)
+    assert len(ranked) == (cfg.q_cap - 1) * XI_POINTS
     assert ranked[0][0] == 3  # the planted residue class wins
     for q, xi, eta in ranked[:3] + ranked[len(ranked) // 2 :: 11]:
         direct = sum(abs(fourier_point((ns, w), a / q + xi)) ** 2 for a in range(q))
         assert eta * (A.alpha * X) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
-def _mass_scan_py(A, cfg, tau, xi_points):
+def _mass_scan_py(A, cfg, tau):
     """The per-(xi, q) fold-and-FFT scan the autocorrelation replaced:
     reference only."""
     X = A.X
     alpha = A.alpha
     ns = np.arange(1, X + 1)
     weights = np.where(np.isin(ns, A.member_array()), 1.0 - alpha, -alpha)
-    m = xi_points - 1
-    xis = np.arange(-m, m + 1, 2) * tau / m if m else np.zeros(1)
+    m = XI_POINTS - 1
+    xis = np.arange(-m, m + 1, 2) * tau / m
     denom = alpha * alpha * X * X
     noise = alpha * (1.0 - alpha) * X
     scored = []
@@ -179,16 +179,16 @@ def _mass_scan_py(A, cfg, tau, xi_points):
 
 
 @pytest.mark.parametrize(
-    "X, density, seed, q_cap, xi_points",
-    [(3000, 0.1, 1, 64, 33), (5000, 0.3, 2, 40, 9), (700, 0.5, 3, 64, 1), (40, 0.2, 4, 64, 33)],
+    "X, density, seed, q_cap",
+    [(3000, 0.1, 1, 64), (5000, 0.3, 2, 40), (700, 0.5, 3, 64), (40, 0.2, 4, 64)],
 )
-def test_mass_scan_matches_the_fold_loop(X, density, seed, q_cap, xi_points):
+def test_mass_scan_matches_the_fold_loop(X, density, seed, q_cap):
     rng = np.random.default_rng(seed)
     A = AvoidingSet.from_members(X, (np.flatnonzero(rng.random(X) < density) + 1).tolist())
     cfg = IncrementConfig(q_cap=q_cap)
     tau = cfg.C1 * math.log(1.0 / A.alpha) ** 2 / X
-    got = _mass_scan(A, cfg, tau, xi_points)
-    want = _mass_scan_py(A, cfg, tau, xi_points)
+    got = _mass_scan(A, cfg, tau)
+    want = _mass_scan_py(A, cfg, tau)
     old_eta = {(q, xi): eta for q, xi, eta in want}
     assert len(got) == len(want) and {(q, xi) for q, xi, _ in got} == set(old_eta)
     for q, xi, eta in got:
@@ -204,20 +204,19 @@ def test_mass_scan_grid_is_antisymmetric():
     rng = np.random.default_rng(8)
     A = AvoidingSet.from_members(4000, (np.flatnonzero(rng.random(4000) < 0.2) + 1).tolist())
     tau = 0.003
-    for xi_points in (33, 8, 2, 1):
-        m = xi_points - 1
-        ranked = _mass_scan(A, IncrementConfig(q_cap=30), tau, xi_points)
-        eta = {(q, xi): e for q, xi, e in ranked}
-        xis = sorted({xi for _, xi in eta})
-        assert len(xis) == xi_points and len(eta) == 29 * xi_points
-        assert xis == ([j * tau / m for j in range(-m, m + 1, 2)] if m else [0.0])
-        assert xis == [-xi for xi in reversed(xis)]
-        for (q, xi), e in eta.items():
-            assert eta[q, -xi] == e  # bitwise: one evaluation per |xi|
-        # a sign tie ranks -|xi| first, then +|xi|, right behind it
-        for i, (q, xi, e) in enumerate(ranked):
-            if xi > 0:
-                assert ranked[i - 1] == (q, -xi, e)
+    m = XI_POINTS - 1
+    ranked = _mass_scan(A, IncrementConfig(q_cap=30), tau)
+    eta = {(q, xi): e for q, xi, e in ranked}
+    xis = sorted({xi for _, xi in eta})
+    assert len(xis) == XI_POINTS and len(eta) == 29 * XI_POINTS
+    assert xis == [j * tau / m for j in range(-m, m + 1, 2)]
+    assert xis == [-xi for xi in reversed(xis)]
+    for (q, xi), e in eta.items():
+        assert eta[q, -xi] == e  # bitwise: one evaluation per |xi|
+    # a sign tie ranks -|xi| first, then +|xi|, right behind it
+    for i, (q, xi, e) in enumerate(ranked):
+        if xi > 0:
+            assert ranked[i - 1] == (q, -xi, e)
 
 
 def test_increment_step_opt1_fires_for_sparse():

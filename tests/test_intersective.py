@@ -1,17 +1,12 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_polys
-from polysieve import intersective
+from conftest import int_polys, run_python
 from polysieve.intersective import (
     AuxiliaryBuilder,
     Certified,
@@ -23,6 +18,7 @@ from polysieve.intersective import (
     intersectivity_verdict,
     padic_roots,
     squarefree_factors,
+    _discriminant_resultant,
     _integer_roots,
 )
 from polysieve.nt import factorize
@@ -134,11 +130,65 @@ def test_verdict_on_a_product_of_two_large_primes():
         "from polysieve.polycore import IntPoly\n"
         "print(intersectivity_verdict(IntPoly((-(10**15 + 37) * (10**15 + 91), 0, 1)), 10))\n"
     )
-    path = [str(Path(intersective.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "NotIntersective(prime=2, exponent=2)"
+    assert run_python(code, timeout=10).strip() == "NotIntersective(prime=2, exponent=2)"
+
+
+def _resultant_bareiss(f, g):
+    """Resultant of two integer polynomials (constant term first) by
+    fraction-free elimination on the Sylvester matrix: the oracle the
+    Euclidean _discriminant_resultant replaced. Reference only."""
+    f, g = list(f), list(g)
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    while len(g) > 1 and g[-1] == 0:
+        g.pop()
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0 and n == 0:
+        return 1
+    if m == 0:
+        return f[0] ** n
+    if n == 0:
+        return g[0] ** m
+    size = m + n
+    mat = [[0] * size for _ in range(size)]
+    for i in range(n):
+        for j, c in enumerate(reversed(f)):
+            mat[i][i + j] = c
+    for i in range(m):
+        for j, c in enumerate(reversed(g)):
+            mat[n + i][i + j] = c
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if mat[k][k] == 0:
+            for r in range(k + 1, size):
+                if mat[r][k] != 0:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[size - 1][size - 1]
+
+
+@given(int_polys())
+@settings(max_examples=300, deadline=None)
+def test_discriminant_resultant_matches_bareiss(h):
+    # h itself (zero when a root repeats) and each of its squarefree factors
+    for f in (h, *(g for g, _ in squarefree_factors(h))):
+        assert _discriminant_resultant(f) == _resultant_bareiss(f.coeffs, f.derivative().coeffs)
+
+
+@given(st.integers(-50, 50).filter(bool), st.integers(-50, 50), st.integers(-50, 50))
+@settings(max_examples=200, deadline=None)
+def test_discriminant_resultant_closed_forms(a, b, c):
+    # Res(f, f') = -a (b^2 - 4ac) for f = a x^2 + b x + c, and a for a x + b
+    assert _discriminant_resultant(IntPoly((c, b, a))) == -a * (b * b - 4 * a * c)
+    assert _discriminant_resultant(IntPoly((b, a))) == a
 
 
 def test_verdict_deep_two_adic_root():
@@ -213,10 +263,8 @@ def test_context_roots_do_not_depend_on_build_order(h, seed):
 
 
 def test_root_residue_examples():
-    b = AuxiliaryBuilder(IntPoly((0, 0, 1)))
-    assert b.r_ell(60) == 0
-    b = AuxiliaryBuilder(IntPoly((-1, 0, 1)))
-    assert b.r_ell(6) == -5
+    assert AuxiliaryBuilder(IntPoly((0, 0, 1))).context(60).r_ell == 0
+    assert AuxiliaryBuilder(IntPoly((-1, 0, 1))).context(6).r_ell == -5
 
 
 def test_lambda_examples():
@@ -251,6 +299,28 @@ def test_missing_root_error():
     b = AuxiliaryBuilder(IntPoly((-2, 0, 1)))  # no 5-adic root
     with pytest.raises(MissingRootError):
         b.context(5)
+
+
+def test_context_rejects_ell_past_the_factorization_range():
+    b = AuxiliaryBuilder(IntPoly((0, 0, 1)))
+    assert b.context(2**30).ell == 2**30
+    for ell in (0, -4, 2**31):
+        with pytest.raises(ValueError, match=str(ell)):
+            b.context(ell)
+
+
+def test_context_on_a_semiprime_ell_returns():
+    # (2^61 - 1)(2^89 - 1): ell was factored, by Pollard rho, in time that
+    # grows like the fourth root of the smaller prime
+    code = (
+        "from polysieve.intersective import AuxiliaryBuilder\n"
+        "from polysieve.polycore import IntPoly\n"
+        "try:\n"
+        "    AuxiliaryBuilder(IntPoly((0, 0, 1))).context((2**61 - 1) * (2**89 - 1))\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert run_python(code, timeout=10).strip() == "ValueError"
 
 
 def test_ell_one_degenerate(fixtures):
@@ -290,7 +360,7 @@ def test_certified_root_congruence(fixtures):
     h = fixtures["x2"]
     b = AuxiliaryBuilder(h)
     for ell in range(1, 60):
-        assert b.r_ell(ell) % ell == 0
+        assert b.context(ell).r_ell % ell == 0
 
 
 @given(st.integers(1, 120), st.integers(1, 12))

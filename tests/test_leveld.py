@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from polysieve.harmonic import _fold_fft
 from polysieve.increment import IncrementConfig
 from polysieve.leveld import (
@@ -19,31 +20,64 @@ from polysieve.leveld import (
 from polysieve.nt import primes_upto
 
 
+def _shape(variant, alpha, cfg):
+    """build_family's smooth cutoff, distinguished exponent and reach, from
+    its formulas."""
+    eps, L = cfg.epsilon, math.log(1.0 / alpha)
+    if variant == 1:
+        smooth = L ** (2.0 + eps)
+        return smooth, math.ceil(2.0 * (2.0 + eps) * L), max(cfg.C1 * alpha ** -(2.0 + eps), smooth)
+    smooth = cfg.C3 * L ** (3.0 + eps)
+    reach = max(cfg.C2 * L ** ((2.0 + eps) * math.floor(math.log(L))), smooth)
+    return smooth, math.ceil(2.0 * (2.0 + eps) * math.log(L) ** 2), reach
+
+
+def _check_family(fam, smooth, exponent, reach):
+    """The members are pairwise coprime (by gcd against the product of
+    those before), the first is the product of the primes up to smooth to
+    the exponent, and the others are p^b with p^b <= reach < p^(b+1), one
+    for each prime p in (smooth, reach], p found as the member's gcd with
+    the product of the primes up to reach."""
+    before = 1
+    for m in fam.members:
+        assert math.gcd(m, before) == 1
+        before *= m
+    assert fam.distinguished == math.prod(primes_upto(int(smooth))) ** exponent
+    primes = primes_upto(int(reach))
+    radical = math.prod(primes)
+    bases = [math.gcd(m, radical) for m in fam.members[1:]]
+    assert bases == [p for p in primes if p > smooth]  # one member per larger prime
+    for m, p in zip(fam.members[1:], bases):
+        b = round(math.log(m, p))
+        assert m == p**b <= reach < p ** (b + 1)
+
+
 def test_build_family_variant1_example():
-    fam = build_family(1, 0.1, IncrementConfig(epsilon=0.5, C1=1.0))
+    cfg = IncrementConfig(epsilon=0.5, C1=1.0)
+    fam = build_family(1, 0.1, cfg)
+    smooth, exponent, reach = _shape(1, 0.1, cfg)
+    assert exponent == 12 and reach == pytest.approx(316.2277660168, abs=1e-6)
     assert fam.distinguished == 210**12
-    assert sorted(fam.member_factors[0]) == [2, 3, 5, 7]
-    assert fam.params["distinguished_exponent"] == 12
-    assert fam.p_max == pytest.approx(316.2277660168, abs=1e-6)
     others = set(fam.members[1:])
     assert {121, 169, 289}.issubset(others)
     assert 19 in others and 313 in others
     assert 361 not in others
-    assert fam.pairwise_coprime()
+    _check_family(fam, smooth, exponent, reach)
 
 
 def test_build_family_degenerate():
     # alpha close to 1/2 shrinks the reach until no extra primes fit
-    fam = build_family(1, 0.45, IncrementConfig(epsilon=0.5, C1=0.01))
+    cfg = IncrementConfig(epsilon=0.5, C1=0.01)
+    fam = build_family(1, 0.45, cfg)
     assert len(fam.members) >= 1
-    assert fam.pairwise_coprime()
+    _check_family(fam, *_shape(1, 0.45, cfg))
 
 
 def test_build_family_variant2():
     fam = build_family(2, 0.05, IncrementConfig())
-    assert fam.pairwise_coprime()
-    expo = math.ceil(2 * 3 * math.log(math.log(20)) ** 2)
-    assert fam.params["distinguished_exponent"] == expo
+    smooth, exponent, reach = _shape(2, 0.05, IncrementConfig())
+    assert exponent == math.ceil(2 * 3 * math.log(math.log(20)) ** 2)
+    _check_family(fam, smooth, exponent, reach)
 
 
 @pytest.mark.parametrize(
@@ -51,13 +85,13 @@ def test_build_family_variant2():
 )
 def test_distinguished_member_is_the_sequential_product(variant, alpha, epsilon):
     # the product tree against multiplying the prime powers one at a time
-    fam = build_family(variant, alpha, IncrementConfig(epsilon=epsilon))
-    expo = fam.params["distinguished_exponent"]
+    cfg = IncrementConfig(epsilon=epsilon)
+    fam = build_family(variant, alpha, cfg)
+    smooth, exponent, _ = _shape(variant, alpha, cfg)
     product = 1
-    for p in sorted(fam.member_factors[0]):
-        product *= p**expo
+    for p in primes_upto(int(smooth)):
+        product *= p**exponent
     assert fam.distinguished == product
-    assert fam.member_factors[0] == {p: expo for p in fam.member_factors[0]}
 
 
 def test_build_family_validation():
@@ -77,11 +111,29 @@ def test_denominator_lower_bound():
         (2, 0.05, IncrementConfig(C2=1000.0, C3=1.0)),
     ):
         fam = build_family(variant, alpha, cfg)
-        Y = fam.smooth_bound
         assert len(fam.members) > 1
-        for m, fac in zip(fam.members[1:], fam.member_factors[1:]):
-            ((p, b),) = fac.items()
-            assert p > Y and m == p**b > Y
+        _check_family(fam, *_shape(variant, alpha, cfg))
+
+
+@pytest.mark.parametrize("members", [[0], [-3, 5], [4, 6], [3, 3], [5, 7, 14]])
+def test_from_members_rejects_bad_members(members):
+    with pytest.raises(ValueError):
+        ModulusFamily.from_members(members)
+
+
+def test_from_members_accepts_coprime_members():
+    assert ModulusFamily.from_members([1, 1]).members == [1, 1]
+    assert ModulusFamily.from_members([2**100, 3**50, 1, 25]).distinguished == 2**100
+
+
+def test_from_members_does_not_factor():
+    # (2^61 - 1)(2^89 - 1): the members were factored, by Pollard rho, in
+    # time that grows like the fourth root of the smaller prime
+    code = (
+        "from polysieve.leveld import ModulusFamily\n"
+        "print(len(ModulusFamily.from_members([(2**61 - 1) * (2**89 - 1), 3]).members))\n"
+    )
+    assert run_python(code, timeout=10).strip() == "2"
 
 
 def test_level_d_audit_structured_example():
@@ -313,7 +365,7 @@ def test_energy_rejects_an_autocorrelation_off_the_integers(monkeypatch):
 
 def test_real_energy_out_of_float_range_raises():
     # a member past float range, as variant 2's distinguished member
-    Q = ModulusFamily([2**1100, 3], [{2: 1100}, {3: 1}], 0.0, 3.0)
+    Q = ModulusFamily([2**1100, 3])
     f = np.full(20, 0.5)
     with pytest.raises(OverflowError):
         level_d_energy(f, Q, 1)

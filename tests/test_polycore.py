@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_polys
-from polysieve import polycore
+from conftest import int_polys, run_python
 from polysieve.polycore import (
     IntPoly,
     normalize_positive,
@@ -104,11 +98,7 @@ def test_normalize_positive_with_a_huge_coefficient(b, shift):
         "from polysieve.polycore import IntPoly, normalize_positive\n"
         f"print(normalize_positive(IntPoly((1, {b}, 1)))[1])\n"
     )
-    path = [str(Path(polycore.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == shift
+    assert int(run_python(code, timeout=10)) == shift
 
 
 def test_normalize_positive_rejects_bad_input():

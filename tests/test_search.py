@@ -1,19 +1,16 @@
 import itertools
 import math
-import os
 import pickle
 import shutil
 import subprocess
-import sys
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import int_polys, squares_upto
+from conftest import int_polys, run_python, squares_upto
 from polysieve import search
 from polysieve.intersective import AuxiliaryBuilder
 from polysieve.polycore import IntPoly
@@ -145,11 +142,7 @@ def test_exhaustive_table_memory():
         "exhaustive_max_table([n * n for n in range(1, 5)], 24)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    path = [str(Path(search.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 64 * 1024  # ru_maxrss counts KiB on Linux
+    assert int(run_python(code, timeout=120)) < 64 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def test_dmax_monotone_unit_steps():
