@@ -3,7 +3,9 @@ JSON-lines records, CSV side files, and report aggregation.
 
 Every task appends one record {task, params, result, duration_ms}, with
 error {type, message} in place of result for a task that raised; result
-fields are deterministic given (config, seed). Floats serialize as the
+fields are deterministic given (config, seed). A task may add measurements
+beside duration_ms, outside result: the dmax task adds nodes, the search
+kernel's node count of each row of its table. Floats serialize as the
 shortest decimal that reads back to the same float, integers beyond 2^53 as
 decimal strings (hex strings past the interpreter's decimal digit limit).
 """
@@ -181,6 +183,7 @@ class RunContext:
         self._norm: Optional[tuple[IntPoly, int]] = None
         self._builder: Optional[AuxiliaryBuilder] = None
         self.side_files: list[tuple[str, str]] = []  # (filename, content)
+        self.measured: dict[str, Any] = {}  # fields the running task adds to its record, outside result
 
     @property
     def normalized(self) -> IntPoly:
@@ -363,6 +366,7 @@ def _task_dmax(ctx: RunContext, p: dict) -> dict:
         table = search.dmax_table(forb, xm, time_budget=budget or None)
     except search.TimeBudgetExceeded as exc:
         table = exc.partial  # the rows finished in the budget: len(table) < x_max
+    ctx.measured["nodes"] = table.nodes
     lines = ["X,D,witness"]
     for X, Dv, wit in table:
         lines.append(f"{X},{Dv},\"{json.dumps(wit.members())}\"")
@@ -499,6 +503,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         for task in config.tasks:
             name = task["name"]
             written = len(ctx.side_files)
+            ctx.measured = {}
             t0 = time.perf_counter()
             try:
                 result = TASKS[name].run(ctx, {**TASKS[name].params, **task["params"]})
@@ -508,7 +513,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 append({"task": name, "params": task["params"], "error": error, "duration_ms": duration})
                 raise
             duration = (time.perf_counter() - t0) * 1000.0
-            append({"task": name, "params": task["params"], "result": result, "duration_ms": duration})
+            append({"task": name, "params": task["params"], "result": result, "duration_ms": duration, **ctx.measured})
             for fname, content in ctx.side_files[written:]:
                 (out / fname).write_text(content, encoding="utf-8", newline="\n")
             verdict = TASKS[name].verdict

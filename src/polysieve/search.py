@@ -277,6 +277,8 @@ def exact_max_avoiding(F: Sequence[int], X: int) -> tuple[int, AvoidingSet]:
 
 _clock = time.monotonic
 _CLOCK_EVERY = 4096  # search nodes between clock readings under a deadline
+_SPLIT_NODES = 1 << 11  # a row splits into jobs when the last row that searched took more nodes
+_SPLIT_DEPTH = 6  # the depth of the split's prefix walk: at most 2^6 jobs
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -288,7 +290,7 @@ class TimeBudgetExceeded(RuntimeError):
 
 
 _SOURCE = Path(__file__).with_name("_anchor.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 _TICK = ctypes.CFUNCTYPE(ctypes.c_int)
 _kernel = None  # anchor_decide from the compiled _anchor.c, once loaded
 _greedy = None  # greedy_scan from the same library, loaded with _kernel
@@ -324,7 +326,7 @@ def _load_kernel():
     except OSError:  # not built yet, or not a library
         dll = _build_kernel(lib)
     kernel = dll.anchor_decide
-    kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 5 + [_TICK, ctypes.c_long, ctypes.POINTER(ctypes.c_long)]
+    kernel.argtypes = [ctypes.c_int] * 3 + [ctypes.c_void_p] * 5 + [_TICK, ctypes.c_long, ctypes.POINTER(ctypes.c_long), ctypes.c_int]
     kernel.restype = ctypes.c_int
     greedy = dll.greedy_scan
     greedy.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
@@ -473,7 +475,16 @@ def dmax_table(
     each set of differences below 16). The cuts keep every branch that holds
     a witness, so the first witness found is the one the search anchored at
     X+1 alone finds. The table's nodes column counts the kernel's nodes for
-    each row. Refutation steps still grow exponentially on long plateaus;
+    each row. A row splits into jobs when the last row whose search went past
+    its root took more than _SPLIT_NODES nodes: the kernel walks the search's
+    first _SPLIT_DEPTH levels, makes each node it reaches there a job, in the
+    search's order, and runs the jobs on the caller and one thread made for
+    the call. The first job in that order that finds a set wins, and the
+    row's count is the serial search's: the walk's nodes before the winner
+    and the nodes of every job up to it, or every node of a refuted row. So
+    D, the witnesses and the counts do not depend on the split. The thread
+    runs no Python but the budget's clock, and is joined before the kernel
+    returns. Refutation steps still grow exponentially on long plateaus;
     time_budget (seconds) aborts, between or inside steps, with the finished
     rows attached to the exception. Inside a step the kernel asks for the
     clock every _CLOCK_EVERY nodes, and only under a budget. The kernel's
@@ -492,6 +503,7 @@ def dmax_table(
     D = np.zeros(X_max + 1, dtype=np.intc)
     nodes = bytearray()  # the node count of each row, as DmaxTable keeps it
     count = ctypes.c_long()
+    last = 0  # the node count of the last row whose search went past its root
     masks = np.zeros((X_max + 1) * W, dtype=np.uint64)  # one forbidden mask per level
     found = np.zeros(W, dtype=np.uint64)
     tick = _TICK() if deadline is None else _TICK(lambda: _clock() > deadline)  # _TICK() is NULL
@@ -505,11 +517,15 @@ def dmax_table(
         if deadline is not None and _clock() > deadline:
             raise stopped(X)
         target = int(D[X - 1]) + 1
+        depth = _SPLIT_DEPTH if last > _SPLIT_NODES else 0
         r = kernel(X, target, W, D.ctypes.data, rows.ctypes.data, T.ctypes.data, masks.ctypes.data,
-                   found.ctypes.data, tick, _CLOCK_EVERY, ctypes.byref(count))
+                   found.ctypes.data, tick, _CLOCK_EVERY, ctypes.byref(count), depth)
+        if r == -2:
+            raise MemoryError(f"the search kernel could not allocate its jobs at X = {X}")
         if r < 0:
             raise stopped(X)
         v = count.value
+        last = v if v > 1 else last
         while v >= 0x80:
             nodes.append(v & 0x7F | 0x80)
             v >>= 7

@@ -558,6 +558,23 @@ def test_dmax_budget_keeps_a_prefix_of_the_table(tmp_path, monkeypatch):
     assert part_csv == full_csv[: n + 1]
 
 
+def test_dmax_record_carries_node_counts_outside_result(tmp_path, monkeypatch):
+    squares = [n * n for n in range(1, 8)]
+    full, _ = _dmax_run(tmp_path, "full", x_max=60)
+    record = _task_record(tmp_path / "full")
+    assert record["nodes"] == search.dmax_table(squares, 60).nodes
+    assert set(record) == {"task", "params", "result", "duration_ms", "nodes"}
+    # a table its budget stopped records the counts of the rows it finished
+    monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
+    readings = itertools.count()
+    monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
+    part, _ = _dmax_run(tmp_path, "part", x_max=60, budget=60.5)
+    nodes = _task_record(tmp_path / "part")["nodes"]
+    assert len(nodes) == len(part["table"]) < 60 and nodes == record["nodes"][: len(nodes)]
+    run_experiment(ExperimentConfig.from_dict(MINIMAL), tmp_path / "f_eval")
+    assert "nodes" not in _task_record(tmp_path / "f_eval")
+
+
 def test_dmax_records_final_d_0_for_an_empty_table(tmp_path, monkeypatch):
     # x_max = 0 used to raise IndexError; so did a budget out before row 1
     empty = ["X,D,witness"]

@@ -1027,6 +1027,36 @@ def test_initial_mass_matches_the_oracle_past_x():
     assert initial_mass(A, params.tau / 3, params) == initial_mass(A, -params.tau / 3, params)
 
 
+def _mod_masses_np_mod(A, offset, q_max, xis):
+    """_mod_masses with its phases reduced by np.mod: reference only."""
+    R = harmonic._autocorrelation(A.indicator()[1:], offset)
+    out = np.full((len(xis), 1), R[0]) * np.arange(q_max + 1)
+    for i, xi in enumerate(xis):
+        terms = np.cos(np.mod(np.arange(A.X) * abs(xi), 1.0) * harmonic.TWO_PI) * R
+        for q in range(1, min(q_max, A.X - 1) + 1):
+            out[i, q] = q * (R[0] + 2.0 * float(terms[q::q].sum()))
+    return out
+
+
+@given(
+    st.integers(1, 30_000),
+    st.floats(0.01, 0.9),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 64),
+    st.floats(1e-6, 4.0),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_mod_masses_match_np_mod_bit_for_bit(X, density, seed, q_max, tau, balanced):
+    # x - floor(x) is fmod(x, 1) exactly for finite x >= 0, so each mass is
+    # the np.mod formula's to the bit, on the 17 offsets of the increment's scan
+    A = AvoidingSet.from_indicator(np.append(False, np.random.default_rng(seed).random(X) < density))
+    xis = np.arange(0, 33, 2) * tau / 32
+    offset = A.alpha if balanced else 0.0
+    got = harmonic._mod_masses(A, offset, q_max, xis)
+    assert np.array_equal(got.view(np.int64), _mod_masses_np_mod(A, offset, q_max, xis).view(np.int64))
+
+
 def test_initial_mass_xi_guard():
     p = ArcParams.make(0.5, 1.0, 10.0, 100)
     with pytest.raises(ValueError):

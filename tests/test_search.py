@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import pickle
 import shutil
 import subprocess
@@ -176,10 +177,17 @@ def _table_digest(F, X_max):
     return zlib.crc32(rows)
 
 
-def test_plateau_tables_are_pinned():
-    # the D column and every witness, as the search anchored at X alone found them
-    assert _table_digest(squares_upto(172), 172) == 3317257726
-    assert _table_digest([n * n - 1 for n in range(2, 11)], 106) == 1850201570
+SERIAL = 1 << 62  # a split threshold above any row's node count
+SPLIT = -1  # a split threshold below every row's: each row splits into jobs
+
+
+def test_plateau_tables_are_pinned(monkeypatch):
+    # the D column and every witness, as the search anchored at X alone found
+    # them, whether or not the rows split into jobs
+    for threshold in (search._SPLIT_NODES, SPLIT):
+        monkeypatch.setattr(search, "_SPLIT_NODES", threshold)
+        assert _table_digest(squares_upto(172), 172) == 3317257726
+        assert _table_digest([n * n - 1 for n in range(2, 11)], 106) == 1850201570
 
 
 @given(st.integers(1, 90), st.sets(st.integers(1, 30), max_size=10))
@@ -192,14 +200,42 @@ def test_every_rise_has_a_witness_holding_both_ends(X_max, F):
         d_before = d
 
 
-def test_node_counts_repeat_and_start_at_zero():
+def test_node_counts_repeat_and_start_at_zero(monkeypatch):
     table = dmax_table(SQ, 120)
     assert len(table.nodes) == 120 and table.nodes == dmax_table(SQ, 120).nodes
-    # the kernel counts the same nodes whether or not it reads a clock
+    # the kernel counts the same nodes whether or not it reads a clock, and
+    # whether or not the rows split into jobs
     assert dmax_table(SQ, 120, time_budget=1e6).nodes == table.nodes
+    monkeypatch.setattr(search, "_SPLIT_NODES", SPLIT)
+    assert dmax_table(SQ, 120).nodes == dmax_table(SQ, 120, time_budget=1e6).nodes == table.nodes
     for X, nodes in zip(range(1, 121), table.nodes):
         # a row whose X - 1 is forbidden is refuted before the search starts
         assert (nodes == 0) == (X - 1 in SQ), X
+
+
+@given(st.integers(1, 90), st.sets(st.integers(1, 30), max_size=10))
+@example(82, {1, 18, 27, 30})  # a later job often finds its set before the first job holding one
+@settings(max_examples=60, deadline=None)
+def test_split_rows_match_the_serial_table(X_max, F):
+    # the first job in the search's order that finds a set wins, and the
+    # count stops with it, so the rows and counts are the serial kernel's
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_SPLIT_NODES", SERIAL)
+        serial = dmax_table(sorted(F), X_max)
+        mp.setattr(search, "_SPLIT_NODES", SPLIT)
+        split = dmax_table(sorted(F), X_max)
+    assert list(split) == list(serial) and split.nodes == serial.nodes
+
+
+def test_split_table_leaves_no_thread(monkeypatch):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to list the threads")
+    monkeypatch.setattr(search, "_SPLIT_NODES", SPLIT)
+    dmax_table(SQ, 40)  # the kernel is loaded and warm
+    before = sorted(os.listdir("/proc/self/task"))
+    table = dmax_table(SQ, 130)
+    assert max(table.nodes) > 1 << 16  # rows large enough that both threads take jobs
+    assert sorted(os.listdir("/proc/self/task")) == before
 
 
 @given(st.sets(st.integers(1, 30), max_size=10), st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=20))
@@ -228,6 +264,76 @@ def test_kernel_source_builds_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
+_TSAN_PROGRAM = r"""
+#include <stdio.h>
+#include "_anchor.c"
+
+static int calls;
+static int never(void) { return 0; }
+static int third(void) { return ++calls >= 3; }  /* tick runs under the kernel's lock */
+
+int main(int argc, char **argv)
+{
+    int X, W;
+    FILE *f = fopen(argv[1], "rb");
+    if (!f || fread(&X, sizeof X, 1, f) != 1 || fread(&W, sizeof W, 1, f) != 1)
+        return 2;
+    int *D = malloc((X + 1) * sizeof *D);
+    uint64_t *rows = malloc((X + 1) * W * sizeof *rows), *masks = malloc((X + 1) * W * sizeof *masks);
+    uint64_t *out = malloc(W * sizeof *out);
+    uint8_t *T = malloc(1 << 16);
+    if (fread(D, sizeof *D, X + 1, f) != (size_t)X + 1 || fread(rows, sizeof *rows, (X + 1) * W, f) != (size_t)(X + 1) * W
+        || fread(T, 1, 1 << 16, f) != 1 << 16)
+        return 2;
+    long nodes;
+    int (*ticks[])(void) = {NULL, never, third};
+    for (int x = X - 1; x <= X; x++)
+        for (int i = 0; i < 3; i++) {
+            calls = 0;
+            int r = anchor_decide(x, D[x - 1] + 1, W, D, rows, T, masks, out, ticks[i], 64, &nodes, 6);
+            printf("%d %ld", r, nodes);
+            for (int k = 0; k < W; k++)
+                printf(" %llx", (unsigned long long)out[k]);
+            printf("\n");
+        }
+    return 0;
+}
+"""
+
+
+def test_split_decision_is_race_free_under_thread_sanitizer(tmp_path):
+    # two large squares rows, one refuted and one raising D, each decided on
+    # two threads without a clock, with a clock that never fires, and with
+    # one that fires on its third reading
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("gcc not found")
+    X, W = 131, 3
+    table = dmax_table(SQ, X)
+    D = np.array([0] + [d for _, d, _ in table], dtype=np.intc)
+    rows = search._conflict_rows(SQ, X, W)
+    T = search._window_table(frozenset(f for f in SQ if f < 16))
+    (tmp_path / "row.bin").write_bytes(np.array([X, W], dtype=np.intc).tobytes() + D.tobytes() + rows.tobytes() + T.tobytes())
+    (tmp_path / "decide.c").write_text(_TSAN_PROGRAM)
+    exe = tmp_path / "decide"
+    build = [cc, "-fsanitize=thread", "-O1", "-g", "-pthread", "-I", str(search._SOURCE.parent), "-o", str(exe), str(tmp_path / "decide.c")]
+    proc = subprocess.run(build, capture_output=True, text=True)
+    if proc.returncode != 0:
+        pytest.skip(f"gcc cannot build with ThreadSanitizer here: {proc.stderr[-300:]}")
+    run = subprocess.run([str(exe), str(tmp_path / "row.bin")], capture_output=True, text=True, timeout=300)
+    assert "WARNING: ThreadSanitizer" not in run.stderr, run.stderr
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 6
+    for x, (plain, ticking, stopped) in zip((X - 1, X), (lines[:3], lines[3:])):
+        found = table[x - 1][1] > table[x - 2][1]
+        bits = table[x - 1][2].bits if found else 0
+        want = f"{int(found)} {table.nodes[x - 1]}" + "".join(f" {bits >> 64 * k & (1 << 64) - 1:x}" for k in range(W))
+        assert plain == ticking == want
+        assert stopped.split()[0] == "-1"
+    assert lines[0].startswith("0 ") and lines[3].startswith("1 ")
+
+
 def test_time_budget_stops_inside_a_step(monkeypatch):
     def no_clock():
         raise AssertionError("clock read without a time budget")
@@ -240,16 +346,19 @@ def test_time_budget_stops_inside_a_step(monkeypatch):
     # between steps alone stay inside the budget, so the table can only stop
     # early if the anchored search itself reads the clock; reading it every
     # 64 nodes keeps that true of a kernel that cuts more nodes.
+    # Each row splits into jobs in the second pass, and both threads read.
     monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
-    readings = itertools.count()
-    monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
-    with pytest.raises(TimeBudgetExceeded) as exc:
-        dmax_table(SQ, X_max, time_budget=X_max + 0.5)
-    partial = exc.value.partial
-    assert len(partial) < X_max
-    assert [d for _, d, _ in partial] == full[: len(partial)]
-    assert partial.nodes == full_table.nodes[: len(partial)]
-    assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
+    for threshold in (search._SPLIT_NODES, SPLIT):
+        monkeypatch.setattr(search, "_SPLIT_NODES", threshold)
+        readings = itertools.count()
+        monkeypatch.setattr(search, "_clock", lambda: float(next(readings)))
+        with pytest.raises(TimeBudgetExceeded) as exc:
+            dmax_table(SQ, X_max, time_budget=X_max + 0.5)
+        partial = exc.value.partial
+        assert len(partial) < X_max
+        assert [d for _, d, _ in partial] == full[: len(partial)]
+        assert partial.nodes == full_table.nodes[: len(partial)]
+        assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
 
 
 def test_kernel_unwinds_at_its_first_late_clock_reading(monkeypatch):
@@ -271,16 +380,22 @@ def test_kernel_unwinds_at_its_first_late_clock_reading(monkeypatch):
             return 1.0
         return 0.0
 
-    full = [d for _, d, _ in dmax_table(SQ, 60)]
+    full_table = dmax_table(SQ, 60)
+    full = [d for _, d, _ in full_table]
     monkeypatch.setattr(search, "_CLOCK_EVERY", 64)
     monkeypatch.setattr(search, "_kernel", kernel)
     monkeypatch.setattr(search, "_clock", clock)
-    with pytest.raises(TimeBudgetExceeded) as exc:
-        dmax_table(SQ, 60, time_budget=0.5)
-    partial = exc.value.partial
-    assert late == [True] and len(partial) < 60
-    assert [d for _, d, _ in partial] == full[: len(partial)]
-    assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
+    # when the rows split, the thread that reads late stops the other
+    for threshold in (search._SPLIT_NODES, SPLIT):
+        monkeypatch.setattr(search, "_SPLIT_NODES", threshold)
+        late.clear()
+        with pytest.raises(TimeBudgetExceeded) as exc:
+            dmax_table(SQ, 60, time_budget=0.5)
+        partial = exc.value.partial
+        assert late == [True] and len(partial) < 60
+        assert [d for _, d, _ in partial] == full[: len(partial)]
+        assert partial.nodes == full_table.nodes[: len(partial)]
+        assert str(exc.value) == f"dmax table stopped at X = {len(partial)}"
 
 
 def _decide_anchor_py(X, target, D, fmask):
