@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+_ROOT_CHUNK = 1 << 16  # residues roots_mod evaluates at once
+
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -97,13 +99,18 @@ class IntPoly:
         return acc
 
     def roots_mod(self, m: int) -> list[int]:
-        """Residues r in [0, m) with self(r) = 0 (mod m), by evaluation at
-        every residue; needs 1 <= m < 2**31."""
+        """Residues r in [0, m) with self(r) = 0 (mod m), ascending, by
+        evaluation at every residue in chunks of _ROOT_CHUNK, so memory stays
+        bounded whatever m is; needs 1 <= m < 2**31."""
         if not 1 <= m < 1 << 31:
             raise ValueError("roots_mod needs 1 <= m < 2^31")
         if m <= 16:  # numpy's per-call cost exceeds a scalar loop this small
             return [r for r in range(m) if self.eval_mod(r, m) == 0]
-        return np.flatnonzero(self.eval_mod(np.arange(m), m) == 0).tolist()
+        roots: list[int] = []
+        for lo in range(0, m, _ROOT_CHUNK):
+            chunk = np.arange(lo, min(lo + _ROOT_CHUNK, m))
+            roots.extend((lo + np.flatnonzero(self.eval_mod(chunk, m) == 0)).tolist())
+        return roots
 
     def largest_n_at_most(self, X: int) -> int:
         """Largest n >= 1 with self(n) <= X, or 0 when there is none; the

@@ -317,6 +317,18 @@ def test_failed_verdict_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert main(["gauss", "--out", str(tmp_path / "sub")]) == 1
 
 
+def test_greedy_verdict_gates_the_run(tmp_path, monkeypatch, capsys):
+    # a greedy set holding the forbidden difference 1 fails the greedy audit
+    monkeypatch.setattr(search, "greedy_avoiding", lambda F, X: search.AvoidingSet.from_members(X, [1, 2]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MINIMAL, "tasks": [{"name": "greedy", "params": {"x_values": [100]}}]}))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 1
+    assert json.loads(capsys.readouterr().out)["failed_required"] == ["greedy"]
+    assert _task_record(run)["result"]["rows"] == [{"X": 100, "size": 2, "x_pow": 10.0, "verified": False}]
+    assert "- greedy: FAILED\n" in emit_report(run)
+
+
 def test_a_task_that_raises_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
     def boom(ctx, params):
         raise ArithmeticError("sieve went wrong")
@@ -367,6 +379,9 @@ DEFAULT_EXACT_DIGESTS = {
     "sieve": "a3bda108a4b5e5b122d6f2ad9923b23857b51c293ddd20bc4a2644d9cc04f57c",
     "dmax": "0deb107d9cba46e73b8182657f52520dcd139993ef10d558c1a212da4b49b66e",
 }
+# (X, size, verified) of each greedy row of configs/default.json; x_pow is a
+# float, so it stays out
+DEFAULT_GREEDY_ROWS = [(1000, 115, True), (10000, 579, True)]
 
 
 def test_default_config_exact_results_are_pinned(tmp_path):
@@ -377,7 +392,10 @@ def test_default_config_exact_results_are_pinned(tmp_path):
         if rec["task"] in DEFAULT_EXACT_DIGESTS:
             blob = json.dumps(rec["result"], sort_keys=True, separators=(",", ":"))
             digests[rec["task"]] = hashlib.sha256(blob.encode()).hexdigest()
+        if rec["task"] == "greedy":
+            rows = [(r["X"], r["size"], r["verified"]) for r in rec["result"]["rows"]]
     assert digests == DEFAULT_EXACT_DIGESTS
+    assert rows == DEFAULT_GREEDY_ROWS
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,3 +265,18 @@ def test_largest_n_at_most():
     assert square.largest_n_at_most(0) == 0
     assert [square.largest_n_at_most(X) for X in (1, 3, 4, 99, 100)] == [1, 1, 2, 9, 10]
     assert IntPoly((5, 1)).largest_n_at_most(5) == 0
+
+
+def test_roots_mod_memory_stays_bounded_at_a_large_prime():
+    # p is prime near 4e6; (x - a)(x - b)(x - c) has roots in the first, a
+    # middle and the last chunk of residues
+    p, (a, b, c) = 4000037, (5, 2_500_000, 4000036)
+    h = IntPoly((-a * b * c, a * b + a * c + b * c, -(a + b + c), 1))
+    scan = np.flatnonzero(h.eval_mod(np.arange(p), p) == 0).tolist()
+    tracemalloc.start()
+    try:
+        roots = h.roots_mod(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roots == scan == [a, b, c] and peak < 8 << 20

@@ -655,6 +655,49 @@ def test_codec_matches_bit_loops(case, F):
     assert greedy_avoiding(F, X) == _greedy_loop(F, X)
 
 
+# differences at and next to multiples of 64, where a shift crosses a word
+_word_diffs = st.integers(0, 11).flatmap(lambda k: st.sampled_from([64 * k - 1, 64 * k, 64 * k + 1]))
+
+
+@st.composite
+def _planted_sets(draw):
+    """An avoiding set over [1, X] with X up to 11 words, with pairs at
+    differences of F planted into it, and F."""
+    X = draw(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]) | st.integers(0, 700))
+    F = draw(st.lists(_word_diffs | st.integers(1, 700), min_size=1, max_size=10))
+    bits = greedy_avoiding(F, X).bits
+    for f, n, top in draw(st.lists(st.tuples(st.sampled_from(F), st.integers(1, 700), st.booleans()), max_size=4)):
+        if top:  # the larger member within 64 of X, where the shorter slices end
+            n = X - f - n % 64
+        if f >= 1 and 1 <= n <= X - f:
+            bits |= 1 << n | 1 << (n + f)
+    return AvoidingSet(X, bits), F
+
+
+@given(_planted_sets())
+@example((AvoidingSet.from_members(200, [1, 67, 130]), [1, 66, 129]))  # group 1 hits 129 before group 2 hits 66
+@example((AvoidingSet.from_members(129, [1, 2, 65, 129]), [1, 64, 128]))
+@example((AvoidingSet.from_members(129, [1, 65, 129]), [64, 128, 129]))
+@settings(max_examples=300, deadline=None)
+def test_word_check_matches_the_loop_across_words_and_groups(case):
+    A, F = case
+    assert verify_avoiding(A, F) == _verify_loop(A, F)
+
+
+def test_word_check_finds_a_violation_in_a_late_group():
+    # squares visit residue 17 (81) after residues 1, 4, 9, ..., 36 and 0, so
+    # a pair planted at difference 81 is found in a group visited late
+    sq = squares_upto(2 * 10**5)
+    n = 10**5
+    mask = greedy_avoiding(sq, 2 * 10**5).indicator()
+    for m in (n, n + 81):
+        for s in sq:
+            mask[[v for v in (m - s, m + s) if 0 < v < mask.size]] = False
+    mask[[n, n + 81]] = True
+    A = AvoidingSet.from_indicator(mask)
+    assert verify_avoiding(A, sq) == _verify_loop(A, sq) == (False, (n, n + 81, 81))
+
+
 def _image_values_loop(poly, lo, hi):
     """The scan image_values used to run, which stops on the positive side
     at the first n past hi where poly increases: reference only."""
